@@ -7,17 +7,16 @@
 //!   sampler JSONL, flight-recorder dump, and application-visible beacon
 //!   counts are **byte-identical**: enabling the profiler must never
 //!   change a simulation artifact.
-//! * **10k-node sharded cell** — the scale-bench beacon grid on the
-//!   sharded tick loop. Interleaved best-of-3 timings with the profiler
-//!   off and on give the overhead estimate; `--smoke` asserts it stays
-//!   ≤ 5%. The profiled run's report is printed (per-phase share, serial
-//!   fraction, Amdahl ceiling, shard utilization) and exported as a
-//!   collapsed-stack flamegraph at `target/obs/profile.folded`, which is
-//!   then re-parsed to prove the format round-trips.
+//! * **10k-node cell** — the scale-bench beacon grid. Interleaved
+//!   best-of-3 timings with the profiler off and on give the overhead
+//!   estimate; `--smoke` asserts it stays ≤ 5%. The profiled run's
+//!   per-phase report is printed and exported as a collapsed-stack
+//!   flamegraph at `target/obs/profile.folded`, which is then re-parsed to
+//!   prove the format round-trips.
 //!
 //! Deterministic counters (fleet beacons heard, cell beacons heard) are
 //! gated at 0% tolerance in `BENCH_profile.json`; timing-derived numbers
-//! (overhead, shares, serial fraction) are informational.
+//! (overhead, phase shares) are informational.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -68,8 +67,7 @@ struct FleetArtifacts {
     heard: u64,
 }
 
-/// Runs the 200-node faulty fleet on the sharded loop (4 shards, so the
-/// parallel fan-out path and worker self-timing both execute).
+/// Runs the 200-node faulty fleet.
 fn run_fleet(profile: bool) -> (FleetArtifacts, Option<PhaseReport>) {
     let faults = FaultConfig {
         ble_loss: 0.15,
@@ -84,7 +82,6 @@ fn run_fleet(profile: bool) -> (FleetArtifacts, Option<PhaseReport>) {
     };
     let mut sim = Runner::new(SimConfig { seed: SEED, faults, ..Default::default() });
     sim.trace_mut().set_enabled(false);
-    sim.set_shards(4);
     if profile {
         sim.enable_profiler();
     }
@@ -107,11 +104,10 @@ fn run_fleet(profile: bool) -> (FleetArtifacts, Option<PhaseReport>) {
     (artifacts, report)
 }
 
-/// One timed run of the 10k sharded beacon cell: wall-clock seconds,
-/// beacons heard, and the profiler report when profiling.
-fn run_cell(n: usize, shards: usize, ticks: u64, profile: bool) -> (f64, u64, Option<PhaseReport>) {
+/// One timed run of the 10k beacon cell: wall-clock seconds, beacons
+/// heard, and the profiler report when profiling.
+fn run_cell(n: usize, ticks: u64, profile: bool) -> (f64, u64, Option<PhaseReport>) {
     let mut sim = Runner::new(SimConfig::default());
-    sim.set_shards(shards);
     if profile {
         sim.enable_profiler();
     }
@@ -138,8 +134,7 @@ fn run_cell(n: usize, shards: usize, ticks: u64, profile: bool) -> (f64, u64, Op
     (secs, heard, report)
 }
 
-/// Prints the profiled cell's report: the per-phase share breakdown, the
-/// serial-fraction → Amdahl readout, and per-shard utilization.
+/// Prints the profiled cell's per-phase share breakdown.
 fn print_report(r: &PhaseReport) {
     let shares: Vec<String> = r
         .phases
@@ -148,18 +143,6 @@ fn print_report(r: &PhaseReport) {
         .map(|p| format!("{} {:.1}% (p99 {} µs)", p.phase.name(), p.share * 100.0, p.p99_us))
         .collect();
     println!("profile: phases: {}", shares.join(", "));
-    println!(
-        "profile: serial fraction {:.3} → Amdahl ceiling {:.2}×, imbalance {:.2}, \
-         batch occupancy p50 {}",
-        r.serial_fraction, r.amdahl_ceiling, r.imbalance, r.batch_occupancy.p50
-    );
-    let util: Vec<String> = r
-        .utilization()
-        .iter()
-        .enumerate()
-        .map(|(s, u)| format!("s{s} {:.0}%", u * 100.0))
-        .collect();
-    println!("profile: shard utilization: {}", util.join(", "));
 }
 
 fn main() {
@@ -184,9 +167,8 @@ fn main() {
     obs.counter("profile.fleet.heard").add(off.heard);
     bline.gate("fleet_heard", off.heard as f64, 0.0);
 
-    // -- 10k sharded cell: overhead + report ------------------------------
+    // -- 10k cell: overhead + report --------------------------------------
     let n = 10_000;
-    let shards = std::thread::available_parallelism().map_or(2, |c| c.get().clamp(2, 8));
     let ticks = if smoke { 24 } else { 60 };
     // Interleave the off/on runs so clock drift and cache state hit both
     // sides equally, then take best-of-3 on each side: the minimum is the
@@ -196,17 +178,17 @@ fn main() {
     let mut heard_off = 0;
     let mut report: Option<PhaseReport> = None;
     for _ in 0..3 {
-        let (secs, heard, _) = run_cell(n, shards, ticks, false);
+        let (secs, heard, _) = run_cell(n, ticks, false);
         best_off = best_off.min(secs);
         heard_off = heard;
-        let (secs, heard, r) = run_cell(n, shards, ticks, true);
+        let (secs, heard, r) = run_cell(n, ticks, true);
         best_on = best_on.min(secs);
         assert_eq!(heard, heard_off, "profiled cell diverged — §5j invariant broken");
         report = r;
     }
     let overhead_pct = (best_on - best_off) / best_off * 100.0;
     println!(
-        "profile: {n}-node {shards}-shard cell, {ticks} ticks: off {:.3}s, on {:.3}s \
+        "profile: {n}-node cell, {ticks} ticks: off {:.3}s, on {:.3}s \
          → overhead {overhead_pct:+.2}%",
         best_off, best_on
     );
@@ -218,8 +200,6 @@ fn main() {
     obs.gauge("profile.cell.heard").set(heard_off as i64);
     bline.gate("cell_heard", heard_off as f64, 0.0);
     bline.info("overhead_pct", overhead_pct);
-    bline.info("serial_fraction", report.serial_fraction);
-    bline.info("amdahl_ceiling", report.amdahl_ceiling);
     for p in report.phases.iter().filter(|p| p.scopes > 0) {
         bline.info(&format!("share_{}", p.phase.name()), p.share);
     }
@@ -233,13 +213,7 @@ fn main() {
     std::fs::write(&path, &folded).expect("write collapsed stacks");
     let parsed = parse_collapsed(&folded);
     let total: u64 = parsed.iter().map(|(_, us)| *us).sum();
-    // The export replaces the shard-fanout wall slice with its coordination
-    // overhead plus per-shard busy frames, so the expected total does too.
-    let max_busy = report.shard_busy_us.iter().copied().max().unwrap_or(0);
-    let expected = report.serial_us
-        + report.parallel_wall_us.saturating_sub(max_busy)
-        + report.parallel_busy_us;
-    assert_eq!(total, expected, "collapsed-stack round-trip lost time");
+    assert_eq!(total, report.total_us, "collapsed-stack round-trip lost time");
     println!("profile: flamegraph: {} ({} frames, {total} µs)", path.display(), parsed.len());
 
     baseline::emit(&bline);

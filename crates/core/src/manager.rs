@@ -872,8 +872,8 @@ impl OmniManager {
     }
 
     /// Expires stale custody entries, then offers the remaining ones to
-    /// fresh peers under the configured strategy. Deterministic at any shard
-    /// count: custody iterates in insertion order over *sorted* fresh peers.
+    /// fresh peers under the configured strategy. Deterministic: custody
+    /// iterates in insertion order over *sorted* fresh peers.
     fn pump_custody(&mut self, api: &mut NodeApi<'_>) {
         if !self.cfg.relay.enabled() || self.custody.is_empty() {
             return;

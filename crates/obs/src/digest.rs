@@ -8,10 +8,6 @@
 //! [`RELATIVE_ERROR_BOUND`] ≈ 1.6% — unlike the fixed power-of-two
 //! [`crate::Histogram`], whose per-bucket error reaches 100%.
 //!
-//! Digests **merge**: two digests use the same fixed bucket layout, so
-//! cross-shard aggregation is per-bucket addition and the error bound is
-//! unchanged after [`QuantileDigest::merge_from`].
-//!
 //! Each bucket optionally retains up to [`EXEMPLARS_PER_BUCKET`] recent
 //! **exemplars** (caller-supplied 64-bit trace ids, see
 //! [`QuantileDigest::record_with_exemplar`]), so an exported slow-window
@@ -34,8 +30,8 @@ pub const SUBBUCKETS: u64 = 1 << SUB_BITS;
 /// (octave of the top bit 5 through 63).
 const TOTAL_BUCKETS: usize = (SUBBUCKETS as usize) * 60;
 
-/// Worst-case relative error of any quantile readout, including after
-/// merges: half a sub-bucket width over the bucket's lower bound,
+/// Worst-case relative error of any quantile readout: half a sub-bucket
+/// width over the bucket's lower bound,
 /// `1 / (2 * SUBBUCKETS)`.
 pub const RELATIVE_ERROR_BOUND: f64 = 1.0 / (2.0 * SUBBUCKETS as f64);
 
@@ -99,7 +95,7 @@ pub struct DigestSummary {
     pub p999: u64,
 }
 
-/// A mergeable log-linear quantile digest over `u64` samples with optional
+/// A log-linear quantile digest over `u64` samples with optional
 /// per-bucket trace exemplars. See the module docs for the error bound.
 ///
 /// This is the plain single-owner value; the registry-attached shared handle
@@ -256,27 +252,6 @@ impl QuantileDigest {
             .filter(|(_, ring)| !ring.is_empty())
             .map(|(idx, ring)| (bucket_bounds(*idx as usize).1, ring.iter().copied().collect()))
             .collect()
-    }
-
-    /// Fold `other` into `self`: per-bucket addition (both digests share the
-    /// fixed layout, so the error bound survives the merge). Exemplar rings
-    /// concatenate with `other`'s treated as newer, keeping the last
-    /// [`EXEMPLARS_PER_BUCKET`] per bucket.
-    pub fn merge_from(&mut self, other: &QuantileDigest) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (idx, ring) in &other.exemplars {
-            let mine = self.exemplars.entry(*idx).or_default();
-            mine.extend(ring.iter().copied());
-            while mine.len() > EXEMPLARS_PER_BUCKET {
-                mine.pop_front();
-            }
-        }
     }
 
     /// The per-bucket difference `self - prev`, for windowed quantiles over
@@ -481,47 +456,6 @@ mod tests {
         assert_eq!(traces.len(), EXEMPLARS_PER_BUCKET);
         assert_eq!(traces.last(), Some(&0xA009), "newest exemplar retained last");
         assert!(!traces.contains(&0xA000), "oldest displaced");
-    }
-
-    #[test]
-    fn merge_matches_recording_into_one() {
-        let a_vals: Vec<u64> = (1..500u64).map(|i| i * 37).collect();
-        let b_vals: Vec<u64> = (1..300u64).map(|i| i * 91 + 7).collect();
-        let mut a = QuantileDigest::new();
-        let mut b = QuantileDigest::new();
-        let mut one = QuantileDigest::new();
-        for &v in &a_vals {
-            a.record(v);
-            one.record(v);
-        }
-        for &v in &b_vals {
-            b.record(v);
-            one.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.count(), one.count());
-        assert_eq!(a.sum(), one.sum());
-        assert_eq!(a.min(), one.min());
-        assert_eq!(a.max(), one.max());
-        for q in [0.5, 0.99, 0.999] {
-            assert_eq!(a.quantile(q), one.quantile(q), "merge is exact per-bucket addition");
-        }
-    }
-
-    #[test]
-    fn merge_carries_exemplars_newest_wins() {
-        let mut a = QuantileDigest::new();
-        let mut b = QuantileDigest::new();
-        for t in 0..3u64 {
-            a.record_with_exemplar(50_000, t);
-        }
-        for t in 10..13u64 {
-            b.record_with_exemplar(50_000, t);
-        }
-        a.merge_from(&b);
-        let traces = a.exemplars_at(0.5);
-        assert_eq!(traces.len(), EXEMPLARS_PER_BUCKET);
-        assert_eq!(traces.last(), Some(&12), "other's exemplars are newer");
     }
 
     #[test]

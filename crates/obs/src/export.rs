@@ -314,34 +314,12 @@ pub fn digest_json(name: &str, d: &QuantileDigest) -> String {
 }
 
 /// Render a [`PhaseReport`] as collapsed-stack flamegraph text: one
-/// `stack value` line per frame, semicolon-separated frames, values in
-/// microseconds of *work*.
-///
-/// Serial phases appear as `tick;<phase>`. The parallel fan-out region
-/// cannot be drawn as wall time (its workers overlap), so each worker's
-/// self-timed busy µs appears under `tick;shard-fanout;shard<i>` and the
-/// `tick;shard-fanout` frame itself carries only the coordination remainder
-/// (wall minus the busiest worker) — the whole graph then sums to total
-/// serial wall plus total parallel work.
+/// `tick;<phase> value` line per phase with recorded time, values in
+/// microseconds.
 pub fn flamegraph_collapsed(report: &PhaseReport) -> String {
     let mut out = String::new();
-    for stat in &report.phases {
-        if stat.phase == crate::profile::Phase::ShardFanout {
-            continue;
-        }
-        if stat.total_us > 0 {
-            let _ = writeln!(out, "tick;{} {}", stat.phase.name(), stat.total_us);
-        }
-    }
-    let max_busy = report.shard_busy_us.iter().copied().max().unwrap_or(0);
-    let overhead = report.parallel_wall_us.saturating_sub(max_busy);
-    if overhead > 0 {
-        let _ = writeln!(out, "tick;shard-fanout {overhead}");
-    }
-    for (i, busy) in report.shard_busy_us.iter().enumerate() {
-        if *busy > 0 {
-            let _ = writeln!(out, "tick;shard-fanout;shard{i} {busy}");
-        }
+    for stat in report.phases.iter().filter(|s| s.total_us > 0) {
+        let _ = writeln!(out, "tick;{} {}", stat.phase.name(), stat.total_us);
     }
     out
 }
@@ -385,8 +363,8 @@ pub fn chrome_phase_slices(slices: &[PhaseSlice], pid: u64, tid: u64) -> String 
     out
 }
 
-/// Quote and escape a string for JSON.
-fn json_str(s: &str) -> String {
+/// Quote and escape a string for JSON, control characters included.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -645,22 +623,18 @@ mod tests {
         use crate::profile::{Phase, TickProfiler};
         let mut p = TickProfiler::new();
         {
-            let _s = p.scope(Phase::StagedCommit);
+            let _s = p.scope(Phase::Deliver);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        p.record_shard_busy(0, 3_000_000);
-        p.record_shard_busy(1, 1_000_000);
         let mut report = p.report();
-        report.phases[Phase::ShardFanout as usize].total_us = 4_000;
-        report.parallel_wall_us = 4_000;
+        report.phases[Phase::TimerDrain as usize].total_us = 4_000;
         let text = flamegraph_collapsed(&report);
         let rows = parse_collapsed(&text);
         assert_eq!(rows.len(), text.lines().count(), "every emitted line parses back");
+        assert_eq!(rows.len(), 2, "only phases with recorded time are emitted");
         let find = |stack: &str| rows.iter().find(|(s, _)| s == stack).map(|(_, v)| *v);
-        assert!(find("tick;staged-commit").unwrap() >= 1_000);
-        assert_eq!(find("tick;shard-fanout;shard0"), Some(3_000));
-        assert_eq!(find("tick;shard-fanout;shard1"), Some(1_000));
-        assert_eq!(find("tick;shard-fanout"), Some(1_000), "wall minus busiest worker");
+        assert!(find("tick;deliver").unwrap() >= 1_000);
+        assert_eq!(find("tick;timer-drain"), Some(4_000));
         // Malformed lines are skipped, not mis-parsed.
         assert_eq!(parse_collapsed("no-value-here\n\na;b 12\n"), vec![("a;b".into(), 12)]);
     }
@@ -669,12 +643,12 @@ mod tests {
     fn chrome_phase_slices_are_spliceable_x_events() {
         use crate::profile::{Phase, PhaseSlice};
         let slices = [
-            PhaseSlice { phase: Phase::BeaconPlan, start_us: 10, dur_us: 5 },
-            PhaseSlice { phase: Phase::StagedCommit, start_us: 16, dur_us: 2 },
+            PhaseSlice { phase: Phase::FaultEval, start_us: 10, dur_us: 5 },
+            PhaseSlice { phase: Phase::Deliver, start_us: 16, dur_us: 2 },
         ];
         let json = chrome_phase_slices(&slices, 1, 99);
         let wrapped = format!("[{json}]");
-        assert!(wrapped.contains("\"name\":\"beacon-plan\""));
+        assert!(wrapped.contains("\"name\":\"fault-eval\""));
         assert!(wrapped.contains("\"ph\":\"X\""));
         assert!(wrapped.contains("\"ts\":16"));
         assert!(wrapped.contains("\"tid\":99"));

@@ -16,13 +16,12 @@
 //!   [`Sample`]s (counter deltas, gauge watermarks, histogram digests) that
 //!   downsamples in place when full, plus bounded-cardinality labeled metrics
 //!   ([`MetricsRegistry::counter_with`] and friends).
-//! * **Quantile digests** — mergeable log-linear [`QuantileDigest`]s with
-//!   bounded relative error ([`RELATIVE_ERROR_BOUND`]) and per-bucket trace
+//! * **Quantile digests** — log-linear [`QuantileDigest`]s with bounded
+//!   relative error ([`RELATIVE_ERROR_BOUND`]) and per-bucket trace
 //!   exemplars, for paths where percentiles matter.
 //! * **Profiler** — a [`TickProfiler`] attributing event-loop wall time to
-//!   a fixed [`Phase`] taxonomy, with per-shard utilization, flamegraph
-//!   ([`flamegraph_collapsed`]) and Chrome-trace ([`chrome_phase_slices`])
-//!   export.
+//!   a fixed [`Phase`] taxonomy, with flamegraph ([`flamegraph_collapsed`])
+//!   and Chrome-trace ([`chrome_phase_slices`]) export.
 //!
 //! Snapshots render as aligned text ([`Snapshot::to_text`]) or hand-rolled
 //! JSON ([`Snapshot::to_json`]) — this crate deliberately depends on nothing
@@ -62,7 +61,8 @@ pub use digest::{
 };
 pub use event::{Event, EventKind, EventRing};
 pub use export::{
-    chrome_phase_slices, digest_json, event_json, flamegraph_collapsed, parse_collapsed, Snapshot,
+    chrome_phase_slices, digest_json, event_json, flamegraph_collapsed, json_str, parse_collapsed,
+    Snapshot,
 };
 pub use metrics::{
     labeled_name, split_labels, Counter, Gauge, GaugeRead, Histogram, HistogramSummary,

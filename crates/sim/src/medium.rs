@@ -8,12 +8,10 @@
 //! this reproduces the paper's observation that the State of the Art's
 //! periodic multicast beacons impede bulk transfers by ≈8.6 % (Table 5).
 //!
-//! **Sharding contract** (DESIGN.md §5g): the medium is global mutable
-//! state and is only ever touched from the runner's serial commit phase, in
-//! `(time, seq)` event order. The sharded tick loop parallelizes pure BLE
-//! fan-out *planning* only — no worker thread holds a reference here — so
-//! flow arrivals, departures, and multicast serialization are ordered
-//! identically for any shard count.
+//! **Determinism contract:** the medium is global mutable state and is only
+//! ever touched from the runner's event loop, in `(time, seq)` event order,
+//! so flow arrivals, departures, and multicast serialization are ordered
+//! identically across same-seed runs.
 
 use std::collections::VecDeque;
 

@@ -1,13 +1,11 @@
 //! Fleet flight recorder: one causally ordered timeline for a whole run.
 //!
 //! Every node in a simulated fleet shares one [`Obs`] event ring, appended
-//! to only from the runner's serial commit phase — under sharding (DESIGN.md
-//! §5g) the parallel workers plan but never record, so the ring keeps global
-//! `(time, seq)` order for any shard count and recorder dumps stay
-//! byte-identical to the single-threaded oracle's.  The
-//! recorder snapshots that ring, drops the wall-clock-stamped entries that
-//! would break replay determinism, stable-sorts what remains by sim time, and
-//! exposes the result two ways:
+//! to only from the runner's event loop, so the ring keeps global
+//! `(time, seq)` order and same-seed recorder dumps stay byte-identical.
+//! The recorder snapshots that ring, drops the wall-clock-stamped entries
+//! that would break replay determinism, stable-sorts what remains by sim
+//! time, and exposes the result two ways:
 //!
 //! * a **JSONL dump** ([`FlightRecorder::to_jsonl`]) — one event per line,
 //!   each tagged with a monotonically increasing `seq` so downstream tools

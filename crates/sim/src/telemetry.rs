@@ -36,16 +36,14 @@
 //! health verdict per window, so fault windows can be reconstructed from the
 //! series alone with [`SeriesRing::spans_where`].
 //!
-//! Under the sharded tick loop (DESIGN.md §5g) sampling still happens
-//! exclusively in the serial commit phase: `Engine::Sample` events merge
-//! into the same global `(time, seq)` order as everything else, and the
-//! counters they read were all incremented in that order — so the JSONL
-//! stream is byte-identical for any shard count, which `shard_parity.rs`
-//! asserts.
+//! `Engine::Sample` events run in the same `(time, seq)` order as
+//! everything else, and the counters they read were all incremented in
+//! that order — so two runs of the same seed produce a byte-identical
+//! JSONL stream, which `telemetry_determinism.rs` asserts.
 
 use std::collections::{BTreeMap, HashMap};
 
-use omni_obs::{split_labels, Obs, QuantileDigest, Sample, SeriesRing};
+use omni_obs::{json_str, split_labels, Obs, QuantileDigest, Sample, SeriesRing};
 
 use crate::health::{HealthConfig, HealthEvent, HealthMonitor, HealthState, WindowStats};
 use crate::time::SimDuration;
@@ -75,16 +73,6 @@ impl Default for SamplerConfig {
 /// sim-deterministic stream (queue wait spans use `std::time::Instant`).
 fn wall_clock(name: &str) -> bool {
     split_labels(name).0.ends_with(".wait_us")
-}
-
-/// Minimal JSON string escaping for metric names (which may carry label
-/// braces but never quotes or control characters in practice).
-fn escape(s: &str) -> String {
-    if s.contains('"') || s.contains('\\') {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    } else {
-        s.to_string()
-    }
 }
 
 /// Periodic sampler: metrics registry → time series + JSONL + health.
@@ -224,7 +212,7 @@ impl Sampler {
             if !counter_lines.is_empty() {
                 counter_lines.push(',');
             }
-            counter_lines.push_str(&format!("\"{}\":{}", escape(name), delta));
+            counter_lines.push_str(&format!("{}:{}", json_str(name), delta));
         }
         if beacons_tx > 0 {
             self.last_beacon_us = Some(t_us);
@@ -256,8 +244,8 @@ impl Sampler {
                 gauge_lines.push(',');
             }
             gauge_lines.push_str(&format!(
-                "\"{}\":{{\"value\":{},\"lo\":{},\"hi\":{}}}",
-                escape(&name),
+                "{}:{{\"value\":{},\"lo\":{},\"hi\":{}}}",
+                json_str(&name),
                 value,
                 lo,
                 hi
@@ -292,8 +280,8 @@ impl Sampler {
                 hist_lines.push(',');
             }
             hist_lines.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"sum\":{}}}",
-                escape(name),
+                "{}:{{\"count\":{},\"sum\":{}}}",
+                json_str(name),
                 dcount,
                 dsum
             ));
@@ -332,8 +320,8 @@ impl Sampler {
                 digest_lines.push(',');
             }
             digest_lines.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
-                escape(&name),
+                "{}:{{\"count\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
+                json_str(&name),
                 windowed.count(),
                 windowed.quantile(0.50),
                 windowed.quantile(0.99),
@@ -566,5 +554,94 @@ mod tests {
         // Six silent seconds: past the 5s default staleness threshold.
         let ev = s.sample(&obs, 7_000_000, 0, 10).expect("stale");
         assert_eq!(ev.cause, "beacon-staleness");
+    }
+
+    /// Strict recursive-descent JSON check: consumes one value at `i`.
+    fn json_value(b: &[u8], i: &mut usize) -> bool {
+        let ws = |i: &mut usize| {
+            while b.get(*i).is_some_and(|c| c.is_ascii_whitespace()) {
+                *i += 1;
+            }
+        };
+        ws(i);
+        let ok = match b.get(*i) {
+            Some(b'{') | Some(b'[') => {
+                let close = if b[*i] == b'{' { b'}' } else { b']' };
+                *i += 1;
+                ws(i);
+                if b.get(*i) == Some(&close) {
+                    *i += 1;
+                    return true;
+                }
+                loop {
+                    if close == b'}' {
+                        ws(i);
+                        if b.get(*i) != Some(&b'"') || !json_value(b, i) {
+                            return false;
+                        }
+                        ws(i);
+                        if b.get(*i) != Some(&b':') {
+                            return false;
+                        }
+                        *i += 1;
+                    }
+                    if !json_value(b, i) {
+                        return false;
+                    }
+                    ws(i);
+                    match b.get(*i) {
+                        Some(b',') => *i += 1,
+                        Some(&c) if c == close => break,
+                        _ => return false,
+                    }
+                }
+                *i += 1;
+                true
+            }
+            Some(b'"') => {
+                *i += 1;
+                loop {
+                    match b.get(*i) {
+                        Some(b'"') => break,
+                        Some(b'\\') => *i += 2,
+                        Some(&c) if c >= 0x20 => *i += 1,
+                        _ => return false,
+                    }
+                }
+                *i += 1;
+                true
+            }
+            Some(_) => {
+                let start = *i;
+                while b.get(*i).is_some_and(|c| c.is_ascii_alphanumeric() || b"+-.".contains(c)) {
+                    *i += 1;
+                }
+                let tok = std::str::from_utf8(&b[start..*i]).unwrap_or("");
+                matches!(tok, "true" | "false" | "null") || tok.parse::<f64>().is_ok()
+            }
+            None => false,
+        };
+        ws(i);
+        ok
+    }
+
+    #[test]
+    fn control_characters_in_labels_keep_one_record_per_line() {
+        let obs = Obs::new();
+        let label = [("who", "a\nb\tc")];
+        obs.counter_with("x", &label).add(3);
+        obs.gauge_with("g", &label).set(1);
+        obs.histogram_with("h", &label).record(7);
+        let mut s = sampler();
+        s.sample(&obs, 1_000_000, 0, 4);
+        s.sample(&obs, 2_000_000, 0, 4);
+        let jsonl = s.to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), 3, "header + one line per window: {jsonl:?}");
+        for line in &lines {
+            let mut i = 0;
+            assert!(json_value(line.as_bytes(), &mut i) && i == line.len(), "bad JSON: {line}");
+        }
+        assert!(lines[1].contains(r#""x{who=a\nb\tc}":3"#), "{}", lines[1]);
     }
 }

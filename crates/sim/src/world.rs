@@ -194,24 +194,6 @@ impl World {
         self.cell_of(self.positions[id.0])
     }
 
-    /// Deterministic shard assignment for a device: its current grid cell,
-    /// hashed with the same multiply-mix the cell map uses, reduced modulo
-    /// `shards`.  Devices sharing a cell always share a shard, so a shard's
-    /// neighbor queries have good cache locality, and the mapping depends
-    /// only on position and cell size — never on shard-count-dependent
-    /// state — which is what lets the sharded runner stay byte-identical
-    /// to the single-threaded oracle for any shard count.
-    pub fn shard_of(&self, id: DeviceId, shards: usize) -> usize {
-        if shards <= 1 {
-            return 0;
-        }
-        let (cx, cy) = self.cell_index(id);
-        let mut h = CellHasher::default();
-        h.write_i64(cx);
-        h.write_i64(cy);
-        (h.finish() % shards as u64) as usize
-    }
-
     /// Occupancy per non-empty grid cell, sorted by cell index so iteration
     /// order (and everything derived from it) is deterministic.
     pub fn cell_occupancy(&self) -> Vec<((i64, i64), usize)> {

@@ -5,16 +5,19 @@
 //! profiler-on run is **byte-identical** to a profiler-off run of the same
 //! seed (DESIGN.md §5j).
 //!
-//! The artifacts compared are the same set `shard_parity.rs` uses for the
-//! sharded-loop contract: sampler JSONL, event ring, flight-recorder dump,
-//! the counter registry, application-visible state (beacons heard), and
-//! the fault RNG draw count.
+//! The artifacts compared are the same set the same-seed suite in
+//! `telemetry_determinism.rs` uses: sampler JSONL, event ring,
+//! flight-recorder dump, the counter registry, beacons heard, and the
+//! fault RNG draw count.
+
+mod common;
 
 use bytes::Bytes;
-use omni_obs::{event_json, Obs};
+use common::Artifacts;
+use omni_obs::Obs;
 use omni_sim::{
-    ChurnWindow, Command, DeviceCaps, FaultConfig, FlightRecorder, LinkPartition, NodeApi,
-    NodeEvent, Position, Runner, SamplerConfig, SimConfig, SimDuration, SimTime, Stack,
+    ChurnWindow, Command, DeviceCaps, FaultConfig, LinkPartition, NodeApi, NodeEvent, Position,
+    Runner, SamplerConfig, SimConfig, SimDuration, SimTime, Stack,
 };
 use proptest::prelude::*;
 
@@ -47,21 +50,7 @@ struct Scenario {
     cols: usize,
     pitch_m: f64,
     ble_loss: f64,
-    shards: usize,
     secs: u64,
-}
-
-/// Everything a run externalizes, captured for byte comparison.
-#[derive(PartialEq, Debug)]
-struct Artifacts {
-    sampler_jsonl: String,
-    event_ring: Vec<String>,
-    recorder_dump: String,
-    counters: Vec<(String, u64)>,
-    heard_total: u64,
-    fault_draws: u64,
-    frames_dropped: u64,
-    final_t_us: u64,
 }
 
 fn run(sc: &Scenario, profile: bool) -> Artifacts {
@@ -78,7 +67,6 @@ fn run(sc: &Scenario, profile: bool) -> Artifacts {
     };
     let mut sim = Runner::new(SimConfig { seed: sc.seed, faults, ..Default::default() });
     sim.trace_mut().set_enabled(false);
-    sim.set_shards(sc.shards);
     if profile {
         sim.enable_profiler();
     }
@@ -100,62 +88,26 @@ fn run(sc: &Scenario, profile: bool) -> Artifacts {
         assert!(r.total_us > 0 || r.phases.iter().any(|p| p.scopes > 0), "profiler saw no scopes");
     }
 
-    let snapshot = obs.snapshot();
-    Artifacts {
-        sampler_jsonl: sim.sampler().map(|s| s.to_jsonl()).unwrap_or_default(),
-        event_ring: obs.events().iter().map(event_json).collect(),
-        recorder_dump: FlightRecorder::from_obs(&obs).to_jsonl(),
-        heard_total: snapshot
-            .metrics
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("ble-beacon.rx"))
-            .map(|(_, v)| *v)
-            .sum(),
-        counters: snapshot.metrics.counters,
-        fault_draws: sim.fault_rng_draws(),
-        frames_dropped: sim.fault_frames_dropped(),
-        final_t_us: sim.now().as_micros(),
-    }
+    let heard = obs.counter("tech.ble-beacon.rx_frames").get();
+    Artifacts::capture(&sim, &obs, heard)
 }
 
-fn assert_identical(off: &Artifacts, on: &Artifacts, label: &str) {
-    assert_eq!(off.sampler_jsonl, on.sampler_jsonl, "{label}: sampler JSONL diverged");
-    assert_eq!(off.event_ring, on.event_ring, "{label}: event ring diverged");
-    assert_eq!(off.recorder_dump, on.recorder_dump, "{label}: recorder dump diverged");
-    assert_eq!(off.counters, on.counters, "{label}: counter registry diverged");
-    assert_eq!(off.fault_draws, on.fault_draws, "{label}: fault RNG draws diverged");
-    assert_eq!(off.heard_total, on.heard_total, "{label}: heard count diverged");
-    assert_eq!(off.frames_dropped, on.frames_dropped, "{label}: frame drops diverged");
-    assert_eq!(off.final_t_us, on.final_t_us, "{label}: final clock diverged");
-}
-
-/// The acceptance scenario: a 500-node faulty fleet on the sharded loop
-/// (so worker self-timing and the shard-busy merge both execute) must emit
+/// The acceptance scenario: a 500-node faulty fleet must emit
 /// byte-identical artifacts with the profiler on and off.
 #[test]
 fn faulty_500_node_fleet_is_byte_identical_profiler_on_and_off() {
-    let sc = Scenario {
-        seed: 42,
-        nodes: 500,
-        cols: 25,
-        pitch_m: 8.0,
-        ble_loss: 0.15,
-        shards: 4,
-        secs: 8,
-    };
+    let sc = Scenario { seed: 42, nodes: 500, cols: 25, pitch_m: 8.0, ble_loss: 0.15, secs: 8 };
     let off = run(&sc, false);
     assert!(off.fault_draws > 0, "the scenario must exercise the fault RNG");
     assert!(!off.sampler_jsonl.is_empty());
     let on = run(&sc, true);
-    assert_identical(&off, &on, "500-node fleet");
+    off.assert_identical(&on, "500-node fleet");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized fleets across shard counts: profiler on == profiler off,
-    /// byte for byte.
+    /// Randomized fleets: profiler on == profiler off, byte for byte.
     #[test]
     fn profiled_runs_are_byte_identical(
         seed in any::<u64>(),
@@ -163,11 +115,10 @@ proptest! {
         cols in 3usize..=8,
         pitch_m in 4.0f64..10.0,
         ble_loss in 0.0f64..0.3,
-        shards in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
-        let sc = Scenario { seed, nodes, cols, pitch_m, ble_loss, shards, secs: 12 };
+        let sc = Scenario { seed, nodes, cols, pitch_m, ble_loss, secs: 12 };
         let off = run(&sc, false);
         let on = run(&sc, true);
-        assert_identical(&off, &on, "randomized fleet");
+        off.assert_identical(&on, "randomized fleet");
     }
 }

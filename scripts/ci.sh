@@ -25,22 +25,19 @@ cargo bench -q -p omni-bench --bench codec
 echo "== reliability smoke (fault matrix) =="
 cargo run --release -p omni-bench --bin reliability -- --smoke
 
-echo "== scale smoke (1000-node tick budget, 10k shard parity) =="
+echo "== scale smoke (1000/10k-node tick and allocation budgets, 10k phase shares) =="
 cargo run --release -p omni-bench --bin scale -- --smoke
-
-echo "== shard parity (500-node oracle vs 4-shard, byte-identical artifacts) =="
-cargo run --release -p omni-bench --bin scale -- --parity
 
 echo "== trace smoke (flight-recorder completeness + determinism) =="
 cargo run --release -p omni-bench --bin trace -- --smoke
 
-echo "== profile smoke (profiler byte-identity + <=5% overhead budget) =="
+echo "== profile smoke (profiler byte-identity + <=5% overhead on the 10k cell) =="
 cargo run --release -p omni-bench --bin profile -- --smoke
 
 echo "== telemetry smoke (fault-window reconstruction from series) =="
 cargo run --release -p omni-bench --bin telemetry -- --smoke
 
-echo "== relay smoke (sparse-chain delivery floor, shard parity) =="
+echo "== relay smoke (sparse-chain delivery floor, same-seed replay) =="
 cargo run --release -p omni-bench --bin relay -- --smoke
 
 echo "== bench baseline gate (drift vs committed BENCH_*.json) =="
