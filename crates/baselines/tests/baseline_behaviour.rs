@@ -235,14 +235,13 @@ fn sa_pays_establishment_where_omni_does_not() {
                     Bytes::from_static(b"30-byte-service-request......."),
                     Box::new(move |code, _, o2| {
                         if code == StatusCode::SendDataSuccess {
-                            // Completion time = now; record via trace and
-                            // measure from the trace below.
-                            o2.trace("test: send-complete");
-                            sent3.borrow_mut().get_or_insert((SimTime::ZERO, SimTime::ZERO));
+                            if let Some((_, end)) = sent3.borrow_mut().as_mut() {
+                                *end = o2.now;
+                            }
                         }
                     }),
                 );
-                o.trace("test: send-start");
+                *sent2.borrow_mut() = Some((o.now, SimTime::ZERO));
             }));
             omni.set_timer(1, SimDuration::from_secs(10));
         });
@@ -257,20 +256,8 @@ fn sa_pays_establishment_where_omni_does_not() {
         sim.set_stack(a, Box::new(stack_a));
         sim.set_stack(b, Box::new(stack_b));
         sim.run_until(SimTime::from_secs(30));
-        let start = sim
-            .trace()
-            .entries()
-            .iter()
-            .find(|e| e.message == "test: send-start")
-            .expect("send started")
-            .at;
-        let end = sim
-            .trace()
-            .entries()
-            .iter()
-            .find(|e| e.message == "test: send-complete")
-            .expect("send completed")
-            .at;
+        let (start, end) = sent_at.borrow().expect("send started");
+        assert!(end > start, "send completed");
         (end - start).as_secs_f64()
     };
     let omni_latency = elapsed(false);

@@ -4,8 +4,8 @@
 //! baseline at the repo root, failing when any **gated** metric drifts
 //! outside its tolerance band.
 //!
-//! The format is deliberately tiny and hand-rolled (the workspace has no
-//! JSON dependency):
+//! The format is deliberately tiny: written by hand and read back through
+//! [`omni_obs::json`] (the workspace has no JSON dependency):
 //!
 //! ```json
 //! {
@@ -26,6 +26,8 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
+
+use omni_obs::json;
 
 /// One recorded metric: its value, tolerance band, and whether drift fails
 /// the gate.
@@ -109,42 +111,20 @@ impl Baseline {
 
     /// Parses a baseline previously written by [`Baseline::to_json`].
     pub fn parse(s: &str) -> Result<Baseline, String> {
-        let mut p = Parser { s: s.as_bytes(), i: 0 };
-        p.skip_ws();
-        p.expect(b'{')?;
+        let doc = json::parse(s)?;
         let mut out = Baseline::default();
-        loop {
-            p.skip_ws();
-            if p.eat(b'}') {
-                break;
-            }
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
+        for (key, v) in doc.as_object().ok_or("baseline is not a JSON object")? {
+            let text = || v.as_str().map(str::to_string).ok_or(format!("{key:?} is not a string"));
             match key.as_str() {
-                "bench" => out.bench = p.string()?,
-                "mode" => out.mode = p.string()?,
+                "bench" => out.bench = text()?,
+                "mode" => out.mode = text()?,
                 "metrics" => {
-                    p.expect(b'{')?;
-                    loop {
-                        p.skip_ws();
-                        if p.eat(b'}') {
-                            break;
-                        }
-                        let name = p.string()?;
-                        p.skip_ws();
-                        p.expect(b':')?;
-                        p.skip_ws();
-                        out.metrics.push((name, p.metric()?));
-                        p.skip_ws();
-                        let _ = p.eat(b',');
+                    for (name, m) in v.as_object().ok_or("\"metrics\" is not an object")? {
+                        out.metrics.push((name.clone(), metric(m)?));
                     }
                 }
                 other => return Err(format!("unknown key {other:?}")),
             }
-            p.skip_ws();
-            let _ = p.eat(b',');
         }
         if out.bench.is_empty() || out.mode.is_empty() {
             return Err("missing bench or mode".into());
@@ -230,95 +210,19 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// A tiny recursive-descent parser for the baseline subset of JSON.
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
+/// Reads one `{"value": …, "tol_pct": …, "gate": …}` metric object.
+fn metric(v: &json::Value) -> Result<BaselineMetric, String> {
+    let mut m = BaselineMetric { value: 0.0, tol_pct: 0.0, gate: false };
+    for (key, field) in v.as_object().ok_or("metric is not an object")? {
+        let bad = || format!("bad metric field {key:?}");
+        match key.as_str() {
+            "value" => m.value = field.as_f64().ok_or_else(bad)?,
+            "tol_pct" => m.tol_pct = field.as_f64().ok_or_else(bad)?,
+            "gate" => m.gate = field.as_bool().ok_or_else(bad)?,
+            other => return Err(format!("unknown metric key {other:?}")),
         }
     }
-
-    fn eat(&mut self, c: u8) -> bool {
-        if self.i < self.s.len() && self.s[self.i] == c {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, self.i))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.i;
-        while self.i < self.s.len() && self.s[self.i] != b'"' {
-            self.i += 1;
-        }
-        let out = String::from_utf8_lossy(&self.s[start..self.i]).into_owned();
-        self.expect(b'"')?;
-        Ok(out)
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        let start = self.i;
-        while self.i < self.s.len()
-            && (self.s[self.i].is_ascii_digit() || b"+-.eE".contains(&self.s[self.i]))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        if self.s[self.i..].starts_with(b"true") {
-            self.i += 4;
-            Ok(true)
-        } else if self.s[self.i..].starts_with(b"false") {
-            self.i += 5;
-            Ok(false)
-        } else {
-            Err(format!("expected bool at byte {}", self.i))
-        }
-    }
-
-    fn metric(&mut self) -> Result<BaselineMetric, String> {
-        self.expect(b'{')?;
-        let mut m = BaselineMetric { value: 0.0, tol_pct: 0.0, gate: false };
-        loop {
-            self.skip_ws();
-            if self.eat(b'}') {
-                break;
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            match key.as_str() {
-                "value" => m.value = self.number()?,
-                "tol_pct" => m.tol_pct = self.number()?,
-                "gate" => m.gate = self.bool()?,
-                other => return Err(format!("unknown metric key {other:?}")),
-            }
-            self.skip_ws();
-            let _ = self.eat(b',');
-        }
-        Ok(m)
-    }
+    Ok(m)
 }
 
 /// The committed baseline path for a bench (`<repo root>/BENCH_<name>.json`

@@ -109,7 +109,6 @@ fn run_cell(
     until_s: u64,
 ) -> CellResult {
     let mut sim = Runner::new(SimConfig { seed, faults, ..Default::default() });
-    sim.trace_mut().set_enabled(false);
     let obs = Obs::new();
     sim.set_obs(obs.clone());
 

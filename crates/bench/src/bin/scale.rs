@@ -141,7 +141,6 @@ fn run_cell(n: usize, brute_force: bool, profile: bool, obs: &Obs) -> CellResult
     if profile {
         sim.enable_profiler();
     }
-    sim.trace_mut().set_enabled(false);
     let heard = Rc::new(RefCell::new(0u64));
     let sites = n.div_ceil(2);
     let cols = (sites as f64).sqrt().ceil() as usize;

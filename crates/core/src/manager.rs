@@ -182,6 +182,14 @@ impl MgrObs {
     fn event(&self, now: SimTime, kind: EventKind) {
         self.obs.event(now.as_micros(), self.node, kind);
     }
+
+    /// Counts a received frame dropped unprocessed
+    /// (`mgr.rx_rejected{cause=…}`). Looked up, not cached: the counter is
+    /// registered on its first rejection, so a run that never rejects
+    /// exports exactly what it did before the counter existed.
+    fn rx_rejected(&self, cause: &str) {
+        self.obs.counter_with("mgr.rx_rejected", &[("cause", cause)]).inc();
+    }
 }
 
 struct TechSlot {
@@ -631,7 +639,6 @@ impl OmniManager {
                 return;
             }
         }
-        api.trace("omni: pump did not quiesce within its iteration budget");
     }
 
     fn fire_app_timers(&mut self, token: u64, now: omni_sim::SimTime) {
@@ -668,6 +675,21 @@ impl OmniManager {
             return; // our own echo (including relay copies of our frames)
         }
         let now = api.now;
+        // Authenticate/decrypt first (paper §3.4): beacons and context packs
+        // that are not sealed for our group are ignored entirely — no peer
+        // record, no encounter, no custody offer. Data frames are unsealed.
+        let plain = match item.packed.kind {
+            ContentKind::Data => Bytes::new(),
+            _ => match self.open(&item.packed.payload) {
+                Some(plain) => plain,
+                None => {
+                    if let Some(m) = &self.mgr_obs {
+                        m.rx_rejected("unauthenticated");
+                    }
+                    return;
+                }
+            },
+        };
         // Forwarded relay copies keep the *origin* in `source`; observing
         // them would poison the peer map with a non-link-local mapping
         // (the forwarder's own beacons handle link-local discovery).
@@ -691,12 +713,6 @@ impl OmniManager {
         }
         match item.packed.kind {
             ContentKind::AddressBeacon => {
-                // Authenticate/decrypt first (paper §3.4): beacons that are
-                // not sealed for our group are ignored entirely.
-                let Some(plain) = self.open(&item.packed.payload) else {
-                    api.trace("omni: dropped unauthenticated address beacon");
-                    return;
-                };
                 if let Ok(beacon) = omni_wire::AddressBeaconPayload::decode(&plain) {
                     if let Some(m) = &self.mgr_obs {
                         m.beacons_rx.inc();
@@ -720,13 +736,7 @@ impl OmniManager {
                     self.peers.observe_beacon(item.packed.source, &beacon, via, now);
                 }
             }
-            ContentKind::Context => {
-                let Some(plain) = self.open(&item.packed.payload) else {
-                    api.trace("omni: dropped unauthenticated context pack");
-                    return;
-                };
-                self.handle_context_plain(item.packed.source, plain, api);
-            }
+            ContentKind::Context => self.handle_context_plain(item.packed.source, plain, api),
             ContentKind::Data => match item.packed.relay {
                 Some(header) => self.handle_relay_data(item, header, api),
                 None => self.deliver_data(&item, now),
@@ -784,12 +794,13 @@ impl OmniManager {
             self.deliver_data(&item, now);
             return;
         }
-        if !self.cfg.relay.enabled() {
-            api.trace("omni: dropped relay frame addressed elsewhere (relaying disabled)");
-            return;
-        }
-        if trace == 0 {
-            api.trace("omni: dropped untraced relay frame (custody requires a trace)");
+        // A relay frame addressed elsewhere needs relaying on, and custody
+        // needs a trace to key it by.
+        if !self.cfg.relay.enabled() || trace == 0 {
+            if let Some(m) = &self.mgr_obs {
+                let relaying = self.cfg.relay.enabled();
+                m.rx_rejected(if relaying { "untraced-relay" } else { "relaying-disabled" });
+            }
             return;
         }
         if !self.data_seen.insert(trace) {
@@ -1183,10 +1194,6 @@ impl OmniManager {
                     if let Some(entry) = self.contexts.get_mut(&id) {
                         entry.carried.remove(&tech);
                     }
-                    api.trace(format!(
-                        "omni: context {id} op on {tech} failed: {}",
-                        failure.description
-                    ));
                     // Replay on the next applicable context technology.
                     let mut remaining = remaining;
                     if let Some(next) = remaining.pop() {
@@ -1255,17 +1262,12 @@ impl OmniManager {
                         ));
                     }
                 }
-                Ok(other) => {
+                Ok(_) => {
                     if self.cfg.retry.enabled() {
                         api.cancel_timer(MGR_TIMER_DATA_BASE + token);
                     }
-                    api.trace(format!("omni: unexpected data response {other:?}"));
                 }
                 Err(failure) => {
-                    api.trace(format!(
-                        "omni: data to {} via {tech} failed: {}",
-                        send.dest, failure.description
-                    ));
                     if self.cfg.retry.enabled() {
                         api.cancel_timer(MGR_TIMER_DATA_BASE + token);
                         self.advance_data(send, Some(tech), failure.description, api);
@@ -1502,7 +1504,6 @@ impl OmniManager {
             ApiCall::CancelTimer { token } => {
                 api.cancel_timer(APP_TIMER_BASE + token);
             }
-            ApiCall::Trace(msg) => api.trace(msg),
         }
     }
 
@@ -1842,7 +1843,6 @@ impl OmniManager {
                     },
                 );
             }
-            api.trace(format!("omni: data to {} failing over to {}", send.dest, next.tech));
             self.submit_data(send, next, api);
             return;
         }
@@ -1863,10 +1863,6 @@ impl OmniManager {
                     },
                 );
             }
-            api.trace(format!(
-                "omni: data to {} backing off {} before attempt {}",
-                send.dest, delay, send.attempt
-            ));
             let token = self.alloc_token();
             self.pending.insert(token, Pending::Data(send));
             api.set_timer(MGR_TIMER_DATA_BASE + token, delay);
@@ -1909,7 +1905,6 @@ impl OmniManager {
     /// Returns `true` when the failure was absorbed.
     fn relay_rescue(&mut self, send: &mut DataSend, api: &mut NodeApi<'_>) -> bool {
         if send.relay_hop.is_some() {
-            api.trace(format!("omni: custody hop to {} failed; frame stays in custody", send.dest));
             return true;
         }
         if !self.cfg.relay.enabled() {
@@ -1925,7 +1920,6 @@ impl OmniManager {
             return false;
         };
         let trace = send.trace.as_u64();
-        api.trace(format!("omni: send to {} falling back to relay custody", send.dest));
         self.data_seen.insert(trace);
         self.custody_origin
             .insert(trace, OriginCustody { cb, dest: send.dest, tried: send.tried.clone() });
@@ -1948,7 +1942,6 @@ impl OmniManager {
         };
         match send.current {
             Some(tech) => {
-                api.trace(format!("omni: data to {} via {tech}: ack deadline expired", send.dest));
                 self.advance_data(send, Some(tech), format!("ack deadline expired on {tech}"), api);
             }
             None => match self.data_candidates(send.dest, send.wire_len, api.now) {
@@ -1997,7 +1990,6 @@ impl OmniManager {
             if self.relay_rescue(&mut send, api) {
                 continue;
             }
-            api.trace(format!("omni: peer {peer} expired; cancelling pending send"));
             if let Some(m) = &self.mgr_obs {
                 m.data_failed.inc();
                 m.event(
@@ -2057,7 +2049,6 @@ impl OmniManager {
         if target == current {
             return;
         }
-        api.trace(format!("omni: adaptive beacon interval {} -> {}", current, target));
         self.beacon_interval_current = target;
         if let Some(m) = &self.mgr_obs {
             m.beacon_interval_us.set(target.as_micros() as i64);
@@ -2167,10 +2158,8 @@ impl OmniManager {
             let needed = self.peers.tech_needed(t, cheaper, now, ttl);
             let engaged = self.engaged.contains(&t);
             if needed && !engaged {
-                api.trace(format!("omni: engaging context technology {t}"));
                 self.engage(t, now);
             } else if !needed && engaged {
-                api.trace(format!("omni: disengaging context technology {t}"));
                 self.disengage(t, now);
             }
         }
@@ -2216,5 +2205,89 @@ impl OmniManager {
             }
             self.submit_context(tech, CtxOp::Remove, id, interval, None, None, Vec::new());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{GroupKey, RelayPolicy};
+    use omni_sim::DeviceId;
+    use omni_wire::{AddressBeaconPayload, BleAddress};
+
+    /// Every label the manager puts in an event reads back from a dump:
+    /// each technology and send-queue label, the shared queues' labels and
+    /// the `"none"` technology of sends that never reached one.
+    #[test]
+    fn every_manager_label_reads_back() {
+        use omni_obs::{event_from_json, event_json, Event};
+        let mut labels = vec!["receive", "response", "none"];
+        for tech in ALL_TECHS {
+            labels.extend([tech_label(tech), send_queue_label(tech)]);
+        }
+        for label in labels {
+            let e = Event { t_us: 1, node: 0, kind: EventKind::QueueDropped { queue: label } };
+            assert_eq!(event_from_json(&event_json(&e)), Ok(e), "{label}");
+        }
+    }
+
+    /// Authenticate before observing (paper §3.4): beacons from 10⁴ forged
+    /// addresses at a keyed node leave its peer map, PRoPHET table and
+    /// custody store exactly as they were; each is only counted.
+    #[test]
+    fn forged_beacons_change_no_state() {
+        const FORGED: u64 = 10_000;
+        let obs = Obs::new();
+        let own = OmniAddress::from_u64(1);
+        let cfg = OmniConfig {
+            context_key: Some(GroupKey::from_passphrase("group")),
+            relay: RelayPolicy::prophet(),
+            obs: Some(obs.clone()),
+            ..OmniConfig::default()
+        };
+        let mut mgr = OmniManager::new(own, cfg, Vec::new());
+        // A frame in custody, so a custody pump toward a forged peer would
+        // show up as an offer.
+        let dest = OmniAddress::from_u64(2);
+        let header = RelayHeader { dest, ttl: 4, hops: 0, copies: 0 };
+        let frame = PackedStruct {
+            kind: ContentKind::Data,
+            source: own,
+            payload: Bytes::from_static(b"held"),
+            trace: TraceId::from_u64(7),
+            relay: Some(header),
+        };
+        mgr.take_custody(frame, header, 7, SimTime::ZERO);
+        let custody = format!("{:?}", mgr.custody);
+        let prophet = format!("{:?}", mgr.prophet.as_ref().map(|p| &p.table));
+
+        let mut cmds = Vec::new();
+        let mut api = NodeApi::detached(DeviceId(0), SimTime::from_secs(1), &mut cmds);
+        // An unkeyed device's beacon: well formed, but not sealed for us.
+        let beacon = AddressBeaconPayload { mesh: None, ble: Some(BleAddress::from_u64(9)) };
+        for i in 0..FORGED {
+            let source = OmniAddress::from_u64(1_000 + i);
+            let packed = PackedStruct {
+                kind: ContentKind::AddressBeacon,
+                source,
+                payload: beacon.encode(),
+                trace: None,
+                relay: None,
+            };
+            let item = ReceivedItem {
+                tech: TechType::BleBeacon,
+                source: LowAddr::Ble(BleAddress::from_u64(i)),
+                packed,
+            };
+            mgr.process_received(item, &mut api);
+        }
+
+        assert!(mgr.peers.is_empty(), "forged beacons created {} peer records", mgr.peers.len());
+        assert_eq!(format!("{:?}", mgr.prophet.as_ref().map(|p| &p.table)), prophet);
+        assert_eq!(format!("{:?}", mgr.custody), custody);
+        assert!(cmds.is_empty(), "forged beacons triggered {} commands", cmds.len());
+        assert!(!obs.events().iter().any(|e| matches!(e.kind, EventKind::PeerDiscovered { .. })));
+        let rejected = obs.counter_with("mgr.rx_rejected", &[("cause", "unauthenticated")]);
+        assert_eq!(rejected.get(), FORGED);
     }
 }

@@ -7,6 +7,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use omni_core::{AdaptiveBeacon, ContextParams, GroupKey, OmniBuilder, OmniConfig, OmniStack};
+use omni_obs::Obs;
 use omni_sim::{DeviceCaps, DeviceId, Position, Runner, SimConfig, SimDuration, SimTime};
 use omni_wire::OmniAddress;
 
@@ -63,15 +64,18 @@ fn eavesdropper_without_the_key_sees_nothing() {
     let (sa, _) = stack_with(&sim, a, keyed("tour-7"), Some(b"svc:secure"));
     let (sb, log_b) = stack_with(&sim, b, keyed("tour-7"), None);
     // Eve holds the wrong key: everything she hears fails authentication.
-    let (se, log_e) = stack_with(&sim, eve, keyed("wrong-key"), None);
+    let eve_obs = Obs::new();
+    let eve_cfg = OmniConfig { obs: Some(eve_obs.clone()), ..keyed("wrong-key") };
+    let (se, log_e) = stack_with(&sim, eve, eve_cfg, None);
     sim.set_stack(a, Box::new(sa));
     sim.set_stack(b, Box::new(sb));
     sim.set_stack(eve, Box::new(se));
     sim.run_until(SimTime::from_secs(5));
     assert!(log_b.borrow().iter().any(|(_, c)| c == b"svc:secure"));
     assert!(log_e.borrow().is_empty(), "eve decrypted something: {:?}", log_e.borrow());
-    // And her peer map has no usable mesh addresses (beacons dropped).
-    assert!(sim.trace().contains("unauthenticated"));
+    // And her manager dropped what it heard as unauthenticated.
+    let rejected = eve_obs.counter_with("mgr.rx_rejected", &[("cause", "unauthenticated")]);
+    assert!(rejected.get() > 0, "eve rejected no frames");
 }
 
 #[test]
@@ -192,28 +196,44 @@ fn adaptive_beacons_decay_then_recover() {
         }),
         ..OmniConfig::default()
     };
-    let (sa, _) = stack_with(&sim, a, adaptive.clone(), Some(b"svc:adaptive"));
+    let obs_a = Obs::new();
+    let cfg_a = OmniConfig { obs: Some(obs_a.clone()), ..adaptive.clone() };
+    let (sa, _) = stack_with(&sim, a, cfg_a, Some(b"svc:adaptive"));
     let (sb, _) = stack_with(&sim, b, adaptive.clone(), None);
     let (sl, _) = stack_with(&sim, late, adaptive, Some(b"svc:late"));
     sim.set_stack(a, Box::new(sa));
     sim.set_stack(b, Box::new(sb));
     sim.set_stack(late, Box::new(sl));
     sim.schedule_teleport(late, SimTime::from_secs(30), Position::new(10.0, 0.0));
-    sim.run_until(SimTime::from_secs(45));
-    let widened = sim
-        .trace()
-        .entries()
-        .iter()
-        .filter(|e| e.device == a && e.message.contains("adaptive beacon interval"))
-        .collect::<Vec<_>>();
+    sim.run_until(SimTime::from_secs(30));
+    let interval = obs_a.gauge("mgr.beacon_interval_us");
+    assert_eq!(interval.watermarks().1, 4_000_000, "interval decayed to the ceiling");
+    // The gauge is set only when the interval changes, so stepping in 10 ms
+    // increments records every change after the newcomer arrives.
+    let mut changes = Vec::new();
+    let mut last = interval.get();
+    let mut at_31_5s = 0;
+    for ms in (30_010..=45_000).step_by(10) {
+        sim.run_until(SimTime::from_millis(ms));
+        let v = interval.get();
+        if v != last {
+            changes.push((ms, v));
+            last = v;
+        }
+        if ms == 31_500 {
+            at_31_5s = v;
+        }
+    }
+    // The evaluation after the newcomer arrives keeps the interval at the
+    // minimum; with no newcomer it doubles to 500 ms at 31 s.
+    assert_eq!(at_31_5s, 250_000, "newcomer held the interval at the minimum: {changes:?}");
+    // And after 30 s the interval changes back to the minimum from above it.
+    // With `max` above `peer_ttl` a quiet peer goes stale and reappears as
+    // new, so the interval also oscillates without a newcomer and is
+    // already 250 ms at 30 s; this check holds in that run too.
     assert!(
-        widened.iter().any(|e| e.message.ends_with("4.000s")),
-        "interval decayed to the ceiling: {widened:?}"
-    );
-    // After the newcomer, the interval snapped back to the minimum.
-    assert!(
-        widened.iter().any(|e| e.at > SimTime::from_secs(30) && e.message.ends_with("250.000ms")),
-        "interval recovered on a new peer: {widened:?}"
+        changes.iter().any(|&(_, v)| v == 250_000),
+        "interval recovered on a new peer: {changes:?}"
     );
 }
 

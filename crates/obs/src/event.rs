@@ -198,36 +198,9 @@ pub enum EventKind {
     },
 }
 
+// `EventKind::name` is generated with the JSON codec, from one table of
+// variants and fields (`export.rs`).
 impl EventKind {
-    /// Stable name of the variant, for exporters and tests.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::BeaconSent { .. } => "BeaconSent",
-            EventKind::BeaconReceived { .. } => "BeaconReceived",
-            EventKind::PeerDiscovered { .. } => "PeerDiscovered",
-            EventKind::PeerExpired { .. } => "PeerExpired",
-            EventKind::TechEngaged { .. } => "TechEngaged",
-            EventKind::TechDisengaged { .. } => "TechDisengaged",
-            EventKind::DataEnqueued { .. } => "DataEnqueued",
-            EventKind::DataSent { .. } => "DataSent",
-            EventKind::DataDelivered { .. } => "DataDelivered",
-            EventKind::DataFailed { .. } => "DataFailed",
-            EventKind::ContextUpdated { .. } => "ContextUpdated",
-            EventKind::QueueDropped { .. } => "QueueDropped",
-            EventKind::DataRetried { .. } => "DataRetried",
-            EventKind::DataFailedOver { .. } => "DataFailedOver",
-            EventKind::SendExhausted { .. } => "SendExhausted",
-            EventKind::FrameDropped { .. } => "FrameDropped",
-            EventKind::DataRelayed { .. } => "DataRelayed",
-            EventKind::DataCustody { .. } => "DataCustody",
-            EventKind::DataDeduped { .. } => "DataDeduped",
-            EventKind::TtlExpired { .. } => "TtlExpired",
-            EventKind::LinkPartitioned { .. } => "LinkPartitioned",
-            EventKind::NodeDown { .. } => "NodeDown",
-            EventKind::HealthTransition { .. } => "HealthTransition",
-        }
-    }
-
     /// The causal trace ID carried by this event, when it concerns a traced
     /// transfer (zero-valued fields mean untraced and report `None`).
     pub fn trace(&self) -> Option<u64> {

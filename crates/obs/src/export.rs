@@ -26,6 +26,7 @@
 
 use crate::digest::QuantileDigest;
 use crate::event::{Event, EventKind};
+use crate::json::{self, Value};
 use crate::metrics::MetricsRead;
 use crate::profile::{PhaseReport, PhaseSlice};
 use std::fmt::Write as _;
@@ -169,110 +170,149 @@ impl Snapshot {
     }
 }
 
-/// Encode one event as a flat JSON object.
-pub fn event_json(e: &Event) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"t_us\": {}, \"node\": {}, \"kind\": {}",
-        e.t_us,
-        e.node,
-        json_str(e.kind.name())
-    );
-    match e.kind {
-        EventKind::TechEngaged { tech } | EventKind::TechDisengaged { tech } => {
-            let _ = write!(out, ", \"tech\": {}", json_str(tech));
-        }
-        EventKind::BeaconSent { tech, epoch } => {
-            let _ = write!(out, ", \"tech\": {}, \"epoch\": {epoch}", json_str(tech));
-        }
-        EventKind::BeaconReceived { tech, peer, epoch } => {
-            let _ =
-                write!(out, ", \"tech\": {}, \"peer\": {peer}, \"epoch\": {epoch}", json_str(tech));
-        }
-        EventKind::PeerDiscovered { peer } | EventKind::PeerExpired { peer } => {
-            let _ = write!(out, ", \"peer\": {peer}");
-        }
-        EventKind::DataEnqueued { tech, bytes, trace }
-        | EventKind::DataSent { tech, bytes, trace } => {
-            let _ = write!(
-                out,
-                ", \"tech\": {}, \"bytes\": {bytes}, \"trace\": {trace}",
-                json_str(tech)
-            );
-        }
-        EventKind::DataDelivered { peer, bytes, trace } => {
-            let _ = write!(out, ", \"peer\": {peer}, \"bytes\": {bytes}, \"trace\": {trace}");
-        }
-        EventKind::DataFailed { tech, trace } => {
-            let _ = write!(out, ", \"tech\": {}, \"trace\": {trace}", json_str(tech));
-        }
-        EventKind::ContextUpdated { id } => {
-            let _ = write!(out, ", \"id\": {id}");
-        }
-        EventKind::QueueDropped { queue } => {
-            let _ = write!(out, ", \"queue\": {}", json_str(queue));
-        }
-        EventKind::DataRetried { tech, attempt, trace } => {
-            let _ = write!(
-                out,
-                ", \"tech\": {}, \"attempt\": {attempt}, \"trace\": {trace}",
-                json_str(tech)
-            );
-        }
-        EventKind::DataFailedOver { from_tech, to_tech, trace } => {
-            let _ = write!(
-                out,
-                ", \"from_tech\": {}, \"to_tech\": {}, \"trace\": {trace}",
-                json_str(from_tech),
-                json_str(to_tech)
-            );
-        }
-        EventKind::SendExhausted { peer, trace } => {
-            let _ = write!(out, ", \"peer\": {peer}, \"trace\": {trace}");
-        }
-        EventKind::FrameDropped { tech, cause, trace } => {
-            let _ = write!(
-                out,
-                ", \"tech\": {}, \"cause\": {}, \"trace\": {trace}",
-                json_str(tech),
-                json_str(cause)
-            );
-        }
-        EventKind::DataRelayed { tech, peer, hops, trace } => {
-            let _ = write!(
-                out,
-                ", \"tech\": {}, \"peer\": {peer}, \"hops\": {hops}, \"trace\": {trace}",
-                json_str(tech)
-            );
-        }
-        EventKind::DataCustody { peer, ttl, trace } => {
-            let _ = write!(out, ", \"peer\": {peer}, \"ttl\": {ttl}, \"trace\": {trace}");
-        }
-        EventKind::DataDeduped { peer, trace } => {
-            let _ = write!(out, ", \"peer\": {peer}, \"trace\": {trace}");
-        }
-        EventKind::TtlExpired { peer, hops, trace } => {
-            let _ = write!(out, ", \"peer\": {peer}, \"hops\": {hops}, \"trace\": {trace}");
-        }
-        EventKind::LinkPartitioned { a, b } => {
-            let _ = write!(out, ", \"a\": {a}, \"b\": {b}");
-        }
-        EventKind::NodeDown { node } => {
-            let _ = write!(out, ", \"node\": {node}");
-        }
-        EventKind::HealthTransition { from, to, cause } => {
-            let _ = write!(
-                out,
-                ", \"from\": {}, \"to\": {}, \"cause\": {}",
-                json_str(from),
-                json_str(to),
-                json_str(cause)
-            );
-        }
+/// Every `&'static str` an [`EventKind`] field carries: technology labels,
+/// queue labels, fault causes, and health states and causes.
+/// [`event_from_json`] maps a parsed label back to its entry here.
+const EVENT_LABELS: &[&str] = &[
+    "ble-beacon",
+    "wifi-multicast",
+    "wifi-tcp",
+    "nfc",
+    "none",
+    "receive",
+    "response",
+    "send-ble-beacon",
+    "send-wifi-multicast",
+    "send-wifi-tcp",
+    "send-nfc",
+    "frame-loss",
+    "partition",
+    "node-down",
+    "healthy",
+    "degraded",
+    "critical",
+    "delivery-ratio",
+    "queue-depth",
+    "delivery-latency",
+    "beacon-staleness",
+    "recovered",
+];
+
+/// One scalar of an event payload, as [`event_json`] writes it and
+/// [`event_from_json`] reads it back.
+trait Field: Sized {
+    fn write(self, out: &mut String, key: &str);
+    fn read(fields: &[(String, Value)], key: &str) -> Result<Self, String>;
+}
+
+fn field<'a>(fields: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
+    fields.iter().find(|(name, _)| name == key).map(|(_, v)| v).ok_or(format!("missing {key:?}"))
+}
+
+impl Field for u64 {
+    fn write(self, out: &mut String, key: &str) {
+        let _ = write!(out, ", \"{key}\": {self}");
     }
-    out.push('}');
-    out
+
+    fn read(fields: &[(String, Value)], key: &str) -> Result<Self, String> {
+        field(fields, key)?.as_u64().ok_or(format!("{key:?} is not an unsigned integer"))
+    }
+}
+
+impl Field for &'static str {
+    fn write(self, out: &mut String, key: &str) {
+        let _ = write!(out, ", \"{key}\": {}", json_str(self));
+    }
+
+    fn read(fields: &[(String, Value)], key: &str) -> Result<Self, String> {
+        let s = field(fields, key)?.as_str().ok_or(format!("{key:?} is not a string"))?;
+        EVENT_LABELS.iter().find(|l| **l == s).copied().ok_or(format!("unknown label {s:?}"))
+    }
+}
+
+/// Defines [`EventKind::name`], [`event_json`] and [`event_from_json`]
+/// from one table listing each variant's payload fields in the order they
+/// are written, so the writer and the reader cannot drift apart. A variant
+/// missing from the table fails to compile (the matches are exhaustive).
+macro_rules! event_codec {
+    ($($kind:ident { $($field:ident),* }),* $(,)?) => {
+        impl EventKind {
+            /// Stable name of the variant, for exporters and tests.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(EventKind::$kind { .. } => stringify!($kind),)*
+                }
+            }
+        }
+
+        /// Encode one event as a flat JSON object.
+        pub fn event_json(e: &Event) -> String {
+            let mut out = format!(
+                "{{\"t_us\": {}, \"node\": {}, \"kind\": {}",
+                e.t_us,
+                e.node,
+                json_str(e.kind.name())
+            );
+            match e.kind {
+                $(EventKind::$kind { $($field),* } => {
+                    $(Field::write($field, &mut out, stringify!($field));)*
+                })*
+            }
+            out.push('}');
+            out
+        }
+
+        /// Decode one flat event object written by [`event_json`], the
+        /// inverse of that function. Keys before `"kind"` other than `t_us`
+        /// and `node` (the flight recorder's `seq`) are ignored; the payload
+        /// fields are read from the keys after it. Labels map back to their
+        /// `&'static str` values, and an unknown label or kind is an error.
+        pub fn event_from_json(text: &str) -> Result<Event, String> {
+            event_from_value(&json::parse(text)?)
+        }
+
+        /// [`event_from_json`] over an already parsed line, for readers
+        /// that also take other keys (such as `seq`) from the same object.
+        pub fn event_from_value(value: &Value) -> Result<Event, String> {
+            let pairs = value.as_object().ok_or("event is not a JSON object")?;
+            let k = pairs.iter().position(|(key, _)| key == "kind").ok_or("missing \"kind\"")?;
+            let (head, body) = (&pairs[..k], &pairs[k + 1..]);
+            let kind = match pairs[k].1.as_str().ok_or("\"kind\" is not a string")? {
+                $(stringify!($kind) => EventKind::$kind {
+                    $($field: Field::read(body, stringify!($field))?),*
+                },)*
+                other => return Err(format!("unknown event kind {other:?}")),
+            };
+            let node = u32::try_from(u64::read(head, "node")?).map_err(|_| "\"node\" exceeds u32")?;
+            Ok(Event { t_us: u64::read(head, "t_us")?, node, kind })
+        }
+    };
+}
+
+event_codec! {
+    BeaconSent { tech, epoch },
+    BeaconReceived { tech, peer, epoch },
+    PeerDiscovered { peer },
+    PeerExpired { peer },
+    TechEngaged { tech },
+    TechDisengaged { tech },
+    DataEnqueued { tech, bytes, trace },
+    DataSent { tech, bytes, trace },
+    DataDelivered { peer, bytes, trace },
+    DataFailed { tech, trace },
+    ContextUpdated { id },
+    QueueDropped { queue },
+    DataRetried { tech, attempt, trace },
+    DataFailedOver { from_tech, to_tech, trace },
+    SendExhausted { peer, trace },
+    FrameDropped { tech, cause, trace },
+    LinkPartitioned { a, b },
+    NodeDown { node },
+    DataRelayed { tech, peer, hops, trace },
+    DataCustody { peer, ttl, trace },
+    DataDeduped { peer, trace },
+    TtlExpired { peer, hops, trace },
+    HealthTransition { from, to, cause },
 }
 
 /// Encode one named [`QuantileDigest`] as a flat JSON object, including its
@@ -482,27 +522,9 @@ mod tests {
 
     #[test]
     fn json_escaping_is_parseable_back() {
-        // The escaped form of a hostile label must be a valid JSON string
-        // literal: balanced quotes, every interior quote/backslash escaped.
+        // The escaped form of a hostile label reads back as the same string.
         let hostile = "quote\" back\\slash \x07bell \x1f unit\tsep\r\n";
-        let escaped = json_str(hostile);
-        let inner = &escaped[1..escaped.len() - 1];
-        let mut chars = inner.chars();
-        while let Some(c) = chars.next() {
-            assert_ne!(c, '"', "unescaped quote inside JSON string: {inner}");
-            if c == '\\' {
-                let next = chars.next().expect("dangling backslash");
-                assert!(
-                    matches!(next, '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' | 'u'),
-                    "invalid escape \\{next}"
-                );
-                if next == 'u' {
-                    for _ in 0..4 {
-                        assert!(chars.next().expect("short \\u escape").is_ascii_hexdigit());
-                    }
-                }
-            }
-        }
+        assert_eq!(json::parse(&json_str(hostile)), Ok(Value::Str(hostile.into())));
     }
 
     #[test]

@@ -51,6 +51,7 @@
 mod digest;
 mod event;
 mod export;
+pub mod json;
 mod metrics;
 mod profile;
 mod span;
@@ -61,8 +62,8 @@ pub use digest::{
 };
 pub use event::{Event, EventKind, EventRing};
 pub use export::{
-    chrome_phase_slices, digest_json, event_json, flamegraph_collapsed, json_str, parse_collapsed,
-    Snapshot,
+    chrome_phase_slices, digest_json, event_from_json, event_from_value, event_json,
+    flamegraph_collapsed, json_str, parse_collapsed, Snapshot,
 };
 pub use metrics::{
     labeled_name, split_labels, Counter, Gauge, GaugeRead, Histogram, HistogramSummary,

@@ -396,4 +396,32 @@ mod tests {
         let ev = m.observe(3, &quiet(10)).unwrap();
         assert_eq!((ev.to, ev.cause), (HealthState::Healthy, "recovered"));
     }
+
+    /// Every cause the monitor can name reads back from a dump: one window
+    /// per return of `classify` (no two share a state and cause), each
+    /// round-tripped as a `HealthTransition` through the event codec.
+    #[test]
+    fn every_cause_reads_back_from_a_dump() {
+        use omni_obs::{event_from_json, event_json, Event, EventKind};
+        let m = HealthMonitor::default();
+        let windows = [
+            WindowStats { attempted: 20, delivered: 4, ..quiet(100) },
+            WindowStats { nodes_down: 30, ..quiet(100) },
+            WindowStats { attempted: 20, delivered: 16, ..quiet(100) },
+            WindowStats { latency_p99_us: 4_000_000, latency_samples: 200, ..quiet(100) },
+            WindowStats { nodes_down: 1, ..quiet(100) },
+            WindowStats { queue_hi: 100, ..quiet(10) },
+            WindowStats { beacon_stale_us: 10_000_000, ..quiet(10) },
+            quiet(10),
+        ];
+        let mut verdicts: Vec<_> = windows.iter().map(|w| m.classify(w, false)).collect();
+        verdicts.sort();
+        verdicts.dedup();
+        assert_eq!(verdicts.len(), windows.len(), "each window hits its own branch");
+        for (to, cause) in verdicts {
+            let kind = EventKind::HealthTransition { from: "healthy", to: to.name(), cause };
+            let e = Event { t_us: 1, node: u32::MAX, kind };
+            assert_eq!(event_from_json(&event_json(&e)), Ok(e), "{cause}");
+        }
+    }
 }

@@ -71,7 +71,6 @@ mod recorder;
 mod runner;
 mod telemetry;
 mod time;
-mod trace;
 mod world;
 
 pub use config::{BleParams, EnergyParams, NfcParams, SimConfig, WifiParams};
@@ -80,8 +79,7 @@ pub use faults::{ChurnWindow, FaultConfig, FaultScope, LinkPartition};
 pub use health::{HealthConfig, HealthEvent, HealthMonitor, HealthState, WindowStats};
 pub use node::{Command, ConnId, DeviceId, NodeApi, NodeEvent, Stack, TcpError};
 pub use recorder::{FlightRecorder, TraceOutcome, TraceTimeline};
-pub use runner::{DeviceCaps, Runner};
+pub use runner::{DeviceCaps, Runner, Trace};
 pub use telemetry::{Sampler, SamplerConfig};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry};
 pub use world::{Position, World, DEFAULT_CELL_M};

@@ -18,7 +18,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use omni_obs::{event_json, Event, EventKind, Obs};
+use omni_obs::{event_from_value, event_json, Event, EventKind, Obs};
 
 /// How a traced transfer ended, judged from its event set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,7 +39,7 @@ pub enum TraceOutcome {
 }
 
 /// All events a single trace ID left behind, in causal order.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceTimeline {
     /// The 64-bit trace ID shared by every event below.
     pub trace: u64,
@@ -118,6 +118,23 @@ impl FlightRecorder {
         events.retain(|e| !matches!(e.kind, EventKind::QueueDropped { .. }));
         events.sort_by_key(|e| e.t_us);
         FlightRecorder { events }
+    }
+
+    /// Reads back a dump written by [`Self::to_jsonl`]. Fails on a line
+    /// that is not an event, and on a `seq` column with gaps (a truncated
+    /// or spliced dump).
+    pub fn from_jsonl(text: &str) -> Result<Self, String> {
+        let mut events = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            let at = |e: String| format!("line {}: {e}", i + 1);
+            let value = omni_obs::json::parse(line).map_err(at)?;
+            let seq = value.get("seq").and_then(|v| v.as_u64());
+            if seq != Some(i as u64) {
+                return Err(at(format!("seq {seq:?} breaks the gap-free sequence")));
+            }
+            events.push(event_from_value(&value).map_err(at)?);
+        }
+        Ok(FlightRecorder { events })
     }
 
     /// The recorded events, ordered.

@@ -21,7 +21,6 @@ use crate::medium::{Flow, McastJob, WifiMedium};
 use crate::node::{Command, ConnId, DeviceId, NodeApi, NodeEvent, Stack, TcpError};
 use crate::telemetry::{Sampler, SamplerConfig};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 use crate::world::{Position, World};
 
 /// Which radios a device is built with. Present radios start powered on.
@@ -316,6 +315,16 @@ impl Ord for Scheduled {
     }
 }
 
+/// What [`Runner::trace_mut`] returns: a zero-sized switch that controls
+/// nothing.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Trace;
+
+impl Trace {
+    /// Does nothing.
+    pub fn set_enabled(self, _enabled: bool) {}
+}
+
 /// The simulation runner. See the crate docs for the overall model.
 pub struct Runner {
     cfg: SimConfig,
@@ -325,7 +334,6 @@ pub struct Runner {
     rng: SmallRng,
     world: World,
     energy: EnergyLedger,
-    trace: Trace,
     devices: Vec<DeviceState>,
     stacks: Vec<Option<Box<dyn Stack>>>,
     medium: WifiMedium,
@@ -377,7 +385,6 @@ impl Runner {
             rng,
             world,
             energy: EnergyLedger::new(),
-            trace: Trace::new(),
             devices: Vec::new(),
             stacks: Vec::new(),
             medium,
@@ -420,10 +427,11 @@ impl Runner {
 
     /// Attaches an observability handle. The runner records per-technology
     /// tx/rx frame and byte counters, the realized BLE advertising cadence
-    /// (`beacon.interval_us`), and [`EventKind::BeaconSent`] events; the
-    /// trace buffer forwards structured entries into the same handle.
+    /// (`beacon.interval_us`), fault drops, commands it rejects
+    /// (`sim.commands_dropped{cause=…}`), and [`EventKind::BeaconSent`],
+    /// [`EventKind::FrameDropped`], [`EventKind::LinkPartitioned`] and
+    /// [`EventKind::NodeDown`] events.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.trace.set_obs(obs.clone());
         self.obs = Some(RunnerObs {
             ble: TechMeters::new(&obs, "ble-beacon"),
             mcast: TechMeters::new(&obs, "wifi-multicast"),
@@ -523,14 +531,12 @@ impl Runner {
         &self.energy
     }
 
-    /// The trace buffer.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable trace access (to disable recording for long runs).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
+    /// A no-op, kept because the fleet benchmark (`fleetbench/`), whose
+    /// sources are frozen with the benchmark definition, calls
+    /// `set_enabled(false)` on it. The [`Obs`] event ring and its counters
+    /// are the runner's only per-event record.
+    pub fn trace_mut(&mut self) -> Trace {
+        Trace
     }
 
     /// The world (placements).
@@ -979,7 +985,6 @@ impl Runner {
             Command::CancelTimer { token } => {
                 *self.timer_gens.entry((dev.0, token)).or_insert(0) += 1;
             }
-            Command::Trace(msg) => self.trace.record(self.now, dev, msg),
             Command::BlePower(on) => self.ble_power(dev, on),
             Command::BleSetScan { duty } => self.ble_set_scan(dev, duty),
             Command::BleAdvertiseSet { slot, payload, interval } => {
@@ -1017,7 +1022,7 @@ impl Runner {
             Command::WifiMcastListen(on) => {
                 let d = &mut self.devices[dev.0];
                 if on && !(d.wifi_on && d.wifi_joined) {
-                    self.trace.record(self.now, dev, "mcast-listen ignored: not joined");
+                    self.drop_command("not-joined");
                 } else {
                     d.wifi_mcast_listen = on;
                 }
@@ -1088,7 +1093,7 @@ impl Runner {
     fn ble_set_scan(&mut self, dev: DeviceId, duty: Option<f64>) {
         if !self.devices[dev.0].ble_on {
             if duty.is_some() {
-                self.trace.record(self.now, dev, "ble scan ignored: radio off");
+                self.drop_command("radio-off");
             }
             return;
         }
@@ -1112,21 +1117,13 @@ impl Runner {
         interval: SimDuration,
     ) {
         if payload.len() > self.cfg.ble.max_payload {
-            self.trace.record(
-                self.now,
-                dev,
-                format!(
-                    "ble advert dropped: {} > {} bytes",
-                    payload.len(),
-                    self.cfg.ble.max_payload
-                ),
-            );
+            self.drop_command("payload-too-large");
             return;
         }
         assert!(!interval.is_zero(), "advertising interval must be positive");
         let d = &mut self.devices[dev.0];
         if !d.ble_on {
-            self.trace.record(self.now, dev, "ble advert ignored: radio off");
+            self.drop_command("radio-off");
             return;
         }
         let gen = d.ble_next_gen;
@@ -1140,6 +1137,16 @@ impl Runner {
         // don't synchronize artificially.
         let jitter = SimDuration::from_micros(self.rng.gen_range(0..interval.as_micros().max(1)));
         self.schedule(jitter, Engine::BleAdv { dev, slot, gen });
+    }
+
+    /// Counts a command this runner rejected or dropped under `cause`, in
+    /// `sim.commands_dropped{cause=…}`. The counter is registered on its
+    /// cause's first drop, so a run that never drops exports exactly what
+    /// it did before the counter existed.
+    fn drop_command(&self, cause: &'static str) {
+        if let Some(o) = &self.obs {
+            o.obs.counter_with("sim.commands_dropped", &[("cause", cause)]).inc();
+        }
     }
 
     /// Attributes a dropped frame to the fault that killed it. Only directed
@@ -1176,16 +1183,16 @@ impl Runner {
 
     fn ble_send_oneshot(&mut self, dev: DeviceId, payload: Bytes) {
         if payload.len() > self.cfg.ble.max_payload {
-            self.trace.record(self.now, dev, "ble oneshot dropped: payload too large");
+            self.drop_command("payload-too-large");
             return;
         }
         let d = &self.devices[dev.0];
         if !d.ble_on {
-            self.trace.record(self.now, dev, "ble oneshot ignored: radio off");
+            self.drop_command("radio-off");
             return;
         }
         if self.faults.is_down(dev) {
-            self.trace.record(self.now, dev, "ble oneshot muted: node down");
+            self.drop_command("node-down");
             return;
         }
         self.energy.pulse(dev, self.cfg.energy.ble_adv_ma, self.cfg.ble.oneshot_pulse);
@@ -1234,7 +1241,7 @@ impl Runner {
         }
         let d = &mut self.devices[dev.0];
         if d.wifi_scanning {
-            self.trace.record(self.now, dev, "wifi scan ignored: already scanning");
+            self.drop_command("already-scanning");
             return;
         }
         d.wifi_scanning = true;
@@ -1247,7 +1254,7 @@ impl Runner {
     fn wifi_join(&mut self, dev: DeviceId) {
         let d = &mut self.devices[dev.0];
         if !d.wifi_on {
-            self.trace.record(self.now, dev, "wifi join ignored: radio off");
+            self.drop_command("radio-off");
             return;
         }
         if d.wifi_joined {
@@ -1257,7 +1264,7 @@ impl Runner {
             return;
         }
         if d.wifi_joining {
-            self.trace.record(self.now, dev, "wifi join ignored: join in progress");
+            self.drop_command("join-in-progress");
             return;
         }
         d.wifi_joining = true;
@@ -1270,7 +1277,7 @@ impl Runner {
     fn mcast_send(&mut self, dev: DeviceId, payload: Bytes, wire_len: u64, bulk: bool) {
         let d = &self.devices[dev.0];
         if !(d.wifi_on && d.wifi_joined) {
-            self.trace.record(self.now, dev, "mcast send dropped: not joined");
+            self.drop_command("not-joined");
             return;
         }
         let airtime = self.cfg.wifi.mcast_fixed_airtime
@@ -1323,7 +1330,6 @@ impl Runner {
                         o.fault_drops.inc();
                         o.drops_frame_loss.inc();
                     }
-                    self.trace.record(self.now, dev, "tcp connect lost: fault injection");
                     self.schedule(
                         self.cfg.wifi.tcp_connect_time,
                         Engine::TcpConnectFail { dev, token, error: TcpError::Unreachable },
@@ -1353,11 +1359,11 @@ impl Runner {
     fn tcp_send(&mut self, dev: DeviceId, conn_id: ConnId, payload: Bytes, wire_len: u64) {
         let idx = conn_id.0 as usize;
         if idx >= self.conns.len() || !self.conns[idx].open {
-            self.trace.record(self.now, dev, "tcp send dropped: connection closed");
+            self.drop_command("connection-closed");
             return;
         }
         let Some(dir) = self.conns[idx].dir_from(dev) else {
-            self.trace.record(self.now, dev, "tcp send dropped: not an endpoint");
+            self.drop_command("not-an-endpoint");
             return;
         };
         let wire = (wire_len + self.cfg.wifi.tcp_overhead_bytes) as f64;
@@ -1376,15 +1382,15 @@ impl Runner {
 
     fn nfc_send(&mut self, dev: DeviceId, payload: Bytes) {
         if payload.len() > self.cfg.nfc.max_payload {
-            self.trace.record(self.now, dev, "nfc send dropped: payload too large");
+            self.drop_command("payload-too-large");
             return;
         }
         if !self.devices[dev.0].caps.nfc {
-            self.trace.record(self.now, dev, "nfc send ignored: no nfc hardware");
+            self.drop_command("no-hardware");
             return;
         }
         if self.faults.is_down(dev) {
-            self.trace.record(self.now, dev, "nfc send muted: node down");
+            self.drop_command("node-down");
             return;
         }
         let cell = self.world.cell_index(dev);
@@ -1424,11 +1430,11 @@ impl Runner {
         assert!(total > 0, "request must be non-empty");
         let d = &mut self.devices[dev.0];
         if !d.wifi_on {
-            self.trace.record(self.now, dev, "infra request dropped: wifi off");
+            self.drop_command("radio-off");
             return;
         }
         if d.infra_rate_bps <= 0.0 {
-            self.trace.record(self.now, dev, "infra request dropped: no infrastructure link");
+            self.drop_command("no-infra-link");
             return;
         }
         if d.infra_active.is_some() {
@@ -1645,11 +1651,6 @@ impl Runner {
             return;
         };
         let (a, b) = (DeviceId(p.a), DeviceId(p.b));
-        self.trace.record(
-            self.now,
-            a,
-            format!("fault: link to dev{} partitioned ({:?}) until {}us", p.b, p.scope, p.until),
-        );
         if let Some(o) = &self.obs {
             o.obs.event(
                 self.now.as_micros(),
@@ -1680,7 +1681,6 @@ impl Runner {
             return;
         }
         self.faults.set_down(dev, true);
-        self.trace.record(self.now, dev, "fault: node down (churn)");
         if let Some(o) = &self.obs {
             o.obs.event(
                 self.now.as_micros(),
@@ -1704,7 +1704,6 @@ impl Runner {
             return;
         }
         self.faults.set_down(dev, false);
-        self.trace.record(self.now, dev, "fault: node up (churn)");
     }
 
     fn ble_adv_tick(&mut self, dev: DeviceId, slot: u32, gen: u64) {

@@ -556,75 +556,6 @@ mod tests {
         assert_eq!(ev.cause, "beacon-staleness");
     }
 
-    /// Strict recursive-descent JSON check: consumes one value at `i`.
-    fn json_value(b: &[u8], i: &mut usize) -> bool {
-        let ws = |i: &mut usize| {
-            while b.get(*i).is_some_and(|c| c.is_ascii_whitespace()) {
-                *i += 1;
-            }
-        };
-        ws(i);
-        let ok = match b.get(*i) {
-            Some(b'{') | Some(b'[') => {
-                let close = if b[*i] == b'{' { b'}' } else { b']' };
-                *i += 1;
-                ws(i);
-                if b.get(*i) == Some(&close) {
-                    *i += 1;
-                    return true;
-                }
-                loop {
-                    if close == b'}' {
-                        ws(i);
-                        if b.get(*i) != Some(&b'"') || !json_value(b, i) {
-                            return false;
-                        }
-                        ws(i);
-                        if b.get(*i) != Some(&b':') {
-                            return false;
-                        }
-                        *i += 1;
-                    }
-                    if !json_value(b, i) {
-                        return false;
-                    }
-                    ws(i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(&c) if c == close => break,
-                        _ => return false,
-                    }
-                }
-                *i += 1;
-                true
-            }
-            Some(b'"') => {
-                *i += 1;
-                loop {
-                    match b.get(*i) {
-                        Some(b'"') => break,
-                        Some(b'\\') => *i += 2,
-                        Some(&c) if c >= 0x20 => *i += 1,
-                        _ => return false,
-                    }
-                }
-                *i += 1;
-                true
-            }
-            Some(_) => {
-                let start = *i;
-                while b.get(*i).is_some_and(|c| c.is_ascii_alphanumeric() || b"+-.".contains(c)) {
-                    *i += 1;
-                }
-                let tok = std::str::from_utf8(&b[start..*i]).unwrap_or("");
-                matches!(tok, "true" | "false" | "null") || tok.parse::<f64>().is_ok()
-            }
-            None => false,
-        };
-        ws(i);
-        ok
-    }
-
     #[test]
     fn control_characters_in_labels_keep_one_record_per_line() {
         let obs = Obs::new();
@@ -639,8 +570,7 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3, "header + one line per window: {jsonl:?}");
         for line in &lines {
-            let mut i = 0;
-            assert!(json_value(line.as_bytes(), &mut i) && i == line.len(), "bad JSON: {line}");
+            assert!(omni_obs::json::parse(line).is_ok(), "bad JSON: {line}");
         }
         assert!(lines[1].contains(r#""x{who=a\nb\tc}":3"#), "{}", lines[1]);
     }

@@ -24,11 +24,17 @@ pub struct Artifacts {
 impl Artifacts {
     /// Captures a finished run; `heard_total` is the scenario's own
     /// application-level delivery count.
+    /// The recorder dump must read back into the same events, so every
+    /// label a run emits is one `FlightRecorder::from_jsonl` knows.
     pub fn capture(sim: &Runner, obs: &Obs, heard_total: u64) -> Self {
+        let recorder = FlightRecorder::from_obs(obs);
+        let recorder_dump = recorder.to_jsonl();
+        let back = FlightRecorder::from_jsonl(&recorder_dump).expect("recorder dump reads back");
+        assert_eq!(back.events(), recorder.events(), "recorder dump read back differently");
         Artifacts {
             sampler_jsonl: sim.sampler().map(|s| s.to_jsonl()).unwrap_or_default(),
             event_ring: obs.events().iter().map(event_json).collect(),
-            recorder_dump: FlightRecorder::from_obs(obs).to_jsonl(),
+            recorder_dump,
             counters: obs.snapshot().metrics.counters,
             heard_total,
             fault_draws: sim.fault_rng_draws(),

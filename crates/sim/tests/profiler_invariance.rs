@@ -66,7 +66,6 @@ fn run(sc: &Scenario, profile: bool) -> Artifacts {
         ..Default::default()
     };
     let mut sim = Runner::new(SimConfig { seed: sc.seed, faults, ..Default::default() });
-    sim.trace_mut().set_enabled(false);
     if profile {
         sim.enable_profiler();
     }

@@ -376,6 +376,32 @@ fn multicast_to_non_listening_devices_is_dropped() {
 }
 
 #[test]
+fn rejected_commands_are_counted_by_cause() {
+    let (mut sim, a, b) = two_device_sim();
+    let obs = omni_obs::Obs::new();
+    sim.set_obs(obs.clone());
+    let oversized = Bytes::from(vec![0u8; 8192]);
+    let (pa, _) = Probe::new();
+    sim.set_stack(
+        a,
+        Box::new(pa.with_start(vec![
+            Command::WifiMcastSend { payload: Bytes::from_static(b"x"), wire_len: 30, bulk: false },
+            Command::BleSendOneShot { payload: oversized.clone() },
+            Command::NfcSend { payload: oversized },
+        ])),
+    );
+    let (pb, _) = Probe::new();
+    sim.set_stack(b, Box::new(pb.with_start(vec![Command::WifiJoin])));
+    sim.run_until(SimTime::from_secs(3));
+    let dropped = |cause| obs.counter_with("sim.commands_dropped", &[("cause", cause)]).get();
+    assert_eq!(dropped("not-joined"), 1);
+    assert_eq!(dropped("payload-too-large"), 2);
+    // A cause that never fired was never registered.
+    let names = obs.snapshot().metrics.counters;
+    assert!(!names.iter().any(|(n, _)| n.contains("radio-off")), "{names:?}");
+}
+
+#[test]
 fn wifi_scan_finds_powered_neighbors_and_takes_scan_time() {
     let (mut sim, a, _b) = two_device_sim();
     let (p, log) = Probe::new();

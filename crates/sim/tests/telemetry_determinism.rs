@@ -67,7 +67,6 @@ fn faulty_config(seed: u64) -> SimConfig {
 /// (empty when sampling is off).
 fn run_fleet(seed: u64, sample: bool) -> (Obs, String) {
     let mut sim = Runner::new(faulty_config(seed));
-    sim.trace_mut().set_enabled(false);
     let obs = Obs::new();
     sim.set_obs(obs.clone());
     if sample {
@@ -265,7 +264,6 @@ fn run_mutating(sc: &Scenario) -> Artifacts {
         ..Default::default()
     };
     let mut sim = Runner::new(SimConfig { seed: sc.seed, faults, ..Default::default() });
-    sim.trace_mut().set_enabled(false);
     let obs = Obs::new();
     sim.set_obs(obs.clone());
     sim.enable_sampler(SamplerConfig::default());
@@ -354,7 +352,6 @@ fn run_relay(sc: &RelayScenario) -> Artifacts {
         ..Default::default()
     };
     let mut sim = Runner::new(SimConfig { seed: sc.seed, faults, ..Default::default() });
-    sim.trace_mut().set_enabled(false);
     let obs = Obs::new();
     sim.set_obs(obs.clone());
     sim.enable_sampler(SamplerConfig::default());

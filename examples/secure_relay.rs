@@ -7,12 +7,19 @@
 //!
 //! Run with `cargo run --example secure_relay`.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use bytes::Bytes;
 use omni::core::{AdaptiveBeacon, ContextParams, GroupKey, OmniBuilder, OmniConfig, OmniStack};
 use omni::sim::{DeviceCaps, Position, Runner, SimConfig, SimDuration, SimTime};
 
 fn main() {
     let mut sim = Runner::new(SimConfig::default());
+    // Every context pack any app hears, in order; and the group's shared
+    // metrics, for the adaptive beacon interval.
+    let log: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
+    let obs = omni::obs::Obs::new();
     let key = GroupKey::from_passphrase("tour-group-7");
 
     // A line of four group devices 25 m apart (BLE range is 30 m), plus an
@@ -30,6 +37,7 @@ fn main() {
             min: SimDuration::from_millis(250),
             max: SimDuration::from_secs(2),
         }),
+        obs: Some(obs.clone()),
         ..OmniConfig::default()
     };
 
@@ -44,6 +52,7 @@ fn main() {
         let mgr =
             OmniBuilder::new().with_ble().with_wifi().with_config(group(ttl)).build(&sim, dev);
         let advert = Bytes::copy_from_slice(advert);
+        let log = log.clone();
         sim.set_stack(
             dev,
             Box::new(OmniStack::new(mgr, move |omni| {
@@ -55,8 +64,9 @@ fn main() {
                     );
                 }
                 let who = name;
-                omni.request_context(Box::new(move |src, ctx, o| {
-                    o.trace(format!("[{who}] heard {src}: {}", String::from_utf8_lossy(ctx)));
+                omni.request_context(Box::new(move |src, ctx, _| {
+                    let line = format!("[{who}] heard {src}: {}", String::from_utf8_lossy(ctx));
+                    log.borrow_mut().push(line);
                 }));
             })),
         );
@@ -67,11 +77,12 @@ fn main() {
         ..OmniConfig::default()
     };
     let mgr = OmniBuilder::new().with_ble().with_wifi().with_config(eve_cfg).build(&sim, eve);
+    let eve_log = log.clone();
     sim.set_stack(
         eve,
-        Box::new(OmniStack::new(mgr, |omni| {
-            omni.request_context(Box::new(|src, ctx, o| {
-                o.trace(format!("[eve!] decrypted {src}: {ctx:?}"));
+        Box::new(OmniStack::new(mgr, move |omni| {
+            omni.request_context(Box::new(move |src, ctx, _| {
+                eve_log.borrow_mut().push(format!("[eve!] decrypted {src}: {ctx:?}"));
             }));
         })),
     );
@@ -81,11 +92,11 @@ fn main() {
     // What the head learned, despite the tail being two hops away:
     let mut head_heard = std::collections::BTreeSet::new();
     let mut eve_heard = 0;
-    for e in sim.trace().entries() {
-        if e.message.starts_with("[head]") {
-            head_heard.insert(e.message.clone());
+    for line in log.borrow().iter() {
+        if line.starts_with("[head]") {
+            head_heard.insert(line.clone());
         }
-        if e.message.starts_with("[eve!]") {
+        if line.starts_with("[eve!]") {
             eve_heard += 1;
         }
     }
@@ -93,13 +104,8 @@ fn main() {
         println!("{m}");
     }
     println!("eve decrypted {eve_heard} packs (group key held: no)");
-    let adapted = sim
-        .trace()
-        .entries()
-        .iter()
-        .filter(|e| e.message.contains("adaptive beacon interval"))
-        .count();
-    println!("adaptive beacon interval changes across the group: {adapted}");
+    let (_, slowest) = obs.gauge("mgr.beacon_interval_us").watermarks();
+    println!("slowest adaptive beacon interval across the group: {slowest} us");
     assert!(head_heard.iter().any(|m| m.contains("tail-lagging")), "relay reached the head");
     assert_eq!(eve_heard, 0);
 }

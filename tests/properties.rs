@@ -66,7 +66,6 @@ proptest! {
         sizes in proptest::collection::vec(1_000u64..2_000_000, 1..12)
     ) {
         let mut sim = Runner::new(SimConfig::default());
-        sim.trace_mut().set_enabled(false);
         let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
         let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
         let sent = Rc::new(RefCell::new(Vec::new()));
@@ -151,7 +150,6 @@ proptest! {
         interval_ms in 100u64..1500,
     ) {
         let mut sim = Runner::new(SimConfig::default());
-        sim.trace_mut().set_enabled(false);
         let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
         let b = sim.add_device(DeviceCaps::PI, Position::new(dx, 0.0));
         let cfg = omni::core::OmniConfig {
@@ -192,7 +190,6 @@ proptest! {
             ..Default::default()
         };
         let mut sim = Runner::new(sim_cfg);
-        sim.trace_mut().set_enabled(false);
         let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
         let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
         let dest = OmniBuilder::omni_address(&sim, b);
@@ -376,7 +373,6 @@ fn five_hundred_node_faulty_runs_are_bit_identical() {
         };
         let mut sim = Runner::new(cfg);
         sim.set_brute_force_neighbors(brute_force);
-        sim.trace_mut().set_enabled(false);
         let heard = Rc::new(RefCell::new(Vec::new()));
         for i in 0..N {
             // 25-wide grid with a 12 m pitch: every node has a handful of
@@ -441,7 +437,6 @@ fn five_hundred_node_faulty_artifacts_match_the_owned_codec_digest() {
         ..Default::default()
     };
     let mut sim = Runner::new(cfg);
-    sim.trace_mut().set_enabled(false);
     let obs = omni_obs::Obs::new();
     sim.set_obs(obs.clone());
     sim.enable_sampler(omni::sim::SamplerConfig::default());
