@@ -1,8 +1,9 @@
-//! Microbenchmarks for the wire codec — the hot path of every transmission.
+//! Microbenchmarks for the wire codec — the hot path of every transmission —
+//! and for the §3.4 beacon cipher that keyed fleets run on every beacon.
 
 use bytes::{Bytes, BytesMut};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use omni_core::ControlFrame;
+use omni_core::{ContextCipher, ControlFrame, GroupKey};
 use omni_wire::{
     AddressBeaconPayload, BleAddress, MeshAddress, OmniAddress, PackedStruct, PackedView,
 };
@@ -35,6 +36,23 @@ fn bench_codec(c: &mut Criterion) {
             black_box(&packed).encode_into(&mut scratch);
             scratch.len()
         });
+    });
+
+    // A keyed fleet seals every address beacon it sends and opens every one
+    // it hears; a forged tag is rejected after the same fused pass.
+    let key = GroupKey::from_passphrase("codec-bench-group");
+    let mut cipher = ContextCipher::new(key, addr.as_u64());
+    c.bench_function("context_seal_beacon", |b| {
+        b.iter(|| cipher.seal(black_box(&packed.payload)));
+    });
+    let sealed = cipher.seal(&packed.payload);
+    c.bench_function("context_open_beacon", |b| {
+        b.iter(|| ContextCipher::open(black_box(&key), black_box(&sealed)).unwrap());
+    });
+    let mut forged = sealed.to_vec();
+    forged[8] ^= 0x01; // first tag byte
+    c.bench_function("context_open_forged", |b| {
+        b.iter(|| assert!(ContextCipher::open(black_box(&key), black_box(&forged)).is_none()));
     });
 
     let ctx = PackedStruct::context(addr, Bytes::from_static(b"svc:interaction-advert"));

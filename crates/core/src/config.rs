@@ -142,7 +142,8 @@ impl Default for RetryPolicy {
 /// Policy for adaptive address-beacon intervals.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveBeacon {
-    /// Interval while the neighborhood is changing (new peers appearing).
+    /// Interval while the neighborhood is changing (peers sighted for the
+    /// first time).
     pub min: SimDuration,
     /// Ceiling the interval decays to (doubling per stable evaluation
     /// period) while the neighborhood is unchanged.

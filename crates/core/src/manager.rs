@@ -314,9 +314,9 @@ pub struct OmniManager {
     /// Current address-beacon interval (adapts when the adaptive policy is
     /// configured).
     beacon_interval_current: SimDuration,
-    /// Fresh-peer snapshot from the previous engagement evaluation (drives
-    /// the adaptive beacon policy).
-    last_fresh_peers: BTreeSet<OmniAddress>,
+    /// Whether a peer was sighted for the first time since the previous
+    /// engagement evaluation (drives the adaptive beacon policy).
+    peer_discovered: bool,
     /// Fresh-peer snapshot for reliable-send cancellation: when a peer's
     /// record expires, its outstanding retries are failed terminally
     /// (independent of the adaptive-beacon and obs snapshots).
@@ -411,7 +411,7 @@ impl OmniManager {
             custody_origin: HashMap::new(),
             prophet,
             beacon_interval_current: beacon_interval,
-            last_fresh_peers: BTreeSet::new(),
+            peer_discovered: false,
             retry_fresh_prev: BTreeSet::new(),
             mgr_obs,
             next_trace_seq: 0,
@@ -695,6 +695,7 @@ impl OmniManager {
         // (the forwarder's own beacons handle link-local discovery).
         let observe = item.packed.relay.is_none();
         let is_new_peer = observe && self.peers.get(item.packed.source).is_none();
+        self.peer_discovered |= is_new_peer;
         if observe {
             self.peers.observe(item.packed.source, item.tech, item.source, now);
             if let Some(m) = &self.mgr_obs {
@@ -2026,15 +2027,15 @@ impl OmniManager {
     /// Adaptive address-beacon frequency (paper §3.1 *Future
     /// Considerations*): beacon at the policy's fast rate while new peers
     /// keep appearing, decay (doubling per stable evaluation period) toward
-    /// the slow ceiling when the neighborhood is unchanged.
-    fn adapt_beacon_interval(&mut self, api: &mut NodeApi<'_>) {
+    /// the slow ceiling when the neighborhood is unchanged. "New" means
+    /// first sighted, not merely fresh again: with a ceiling above
+    /// `peer_ttl`, a quiet neighbour goes stale between its own beacons and
+    /// would otherwise snap the interval back to the minimum.
+    fn adapt_beacon_interval(&mut self) {
+        let changed = std::mem::take(&mut self.peer_discovered);
         let Some(policy) = self.cfg.adaptive_beacon else {
             return;
         };
-        let fresh: BTreeSet<OmniAddress> =
-            self.peers.fresh_peers(api.now, self.cfg.peer_ttl).into_iter().collect();
-        let changed = fresh.difference(&self.last_fresh_peers).next().is_some();
-        self.last_fresh_peers = fresh;
         let current = self.beacon_interval_current;
         let target = if changed {
             policy.min
@@ -2118,7 +2119,7 @@ impl OmniManager {
     }
 
     fn evaluate_engagement(&mut self, api: &mut NodeApi<'_>) {
-        self.adapt_beacon_interval(api);
+        self.adapt_beacon_interval();
         if let Some(m) = self.mgr_obs.as_mut() {
             let fresh: BTreeSet<OmniAddress> =
                 self.peers.fresh_peers(api.now, self.cfg.peer_ttl).into_iter().collect();

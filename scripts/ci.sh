@@ -40,6 +40,12 @@ cargo run --release -p omni-bench --bin telemetry -- --smoke
 echo "== relay smoke (sparse-chain delivery floor, same-seed replay) =="
 cargo run --release -p omni-bench --bin relay -- --smoke
 
+echo "== fleet bench (builds fleetbench/ against the crates; traced replay checks live open outcomes) =="
+cargo run --release --offline --locked --manifest-path fleetbench/Cargo.toml -- \
+    --workload all --seed 1 --seconds 1 --trace 0
+cargo run --release --offline --locked --manifest-path fleetbench/Cargo.toml -- \
+    --workload context-dense --seed 1 --seconds 1 --trace 1
+
 echo "== bench baseline gate (drift vs committed BENCH_*.json) =="
 scripts/bench_baseline.sh --smoke
 
