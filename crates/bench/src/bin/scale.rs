@@ -9,8 +9,13 @@
 //! and asserts the spatial grid delivers at least a 10× ticks/sec speedup.
 //!
 //! `--smoke` runs the 1000-node and 10 000-node cells against CI wall-clock
-//! and allocation budgets, then a profiled 10 000-node cell whose heard
-//! count must match and whose per-phase shares are printed.
+//! and allocation budgets, then measures the tick-phase profiler on the
+//! 10 000-node cell: three rounds of interleaved profiler-off/on runs,
+//! whose median overhead must stay within `PROFILER_OVERHEAD_MAX_PCT`, and
+//! every run must hear exactly what the unprofiled cell heard. The
+//! profiled run's per-phase shares are printed and its collapsed-stack
+//! flamegraph is written to `target/obs/profile.folded`, then re-parsed to
+//! prove the format round-trips.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
@@ -22,7 +27,7 @@ use bytes::Bytes;
 use omni_bench::baseline::Baseline;
 use omni_bench::report::{Chart, Table};
 use omni_bench::ObsRun;
-use omni_obs::Obs;
+use omni_obs::{flamegraph_collapsed, parse_collapsed, Obs, PhaseReport};
 use omni_sim::{
     Command, DeviceCaps, NodeApi, NodeEvent, Position, Runner, SimConfig, SimDuration, SimTime,
     Stack,
@@ -83,6 +88,10 @@ const SMOKE_BUDGET_10K_MEAN_US: f64 = 1_000_000.0;
 const ALLOC_CEILING_1K: f64 = 10.0;
 const ALLOC_CEILING_10K: f64 = 100.0;
 
+/// Smoke budget for the tick-phase profiler's wall-clock cost on the
+/// 10 000-node cell (DESIGN.md §5j): the median of three paired rounds.
+const PROFILER_OVERHEAD_MAX_PCT: f64 = 5.0;
+
 /// Measured beacon rounds per cell: big fleets run fewer so the full sweep
 /// finishes in minutes, with enough rounds left for a stable p95.
 fn ticks_for(n: usize) -> u64 {
@@ -125,17 +134,13 @@ struct CellResult {
     p95_tick_us: u64,
     allocs_per_tick: f64,
     heard: u64,
-    /// The tick-phase profile, when the cell ran with `profile = true`.
-    report: Option<omni_obs::PhaseReport>,
 }
 
-/// Runs an N-device fleet for `ticks_for(n)` beacon rounds, timing each
-/// round and counting its heap allocations. `brute_force` swaps the
-/// neighbor query; `profile` enables the tick-phase profiler
-/// (byte-identical behavior by the §5j invariant — only wall-clock
-/// attribution is added).
-fn run_cell(n: usize, brute_force: bool, profile: bool, obs: &Obs) -> CellResult {
-    let ticks = ticks_for(n);
+/// Builds the N-device beacon grid; the returned counter tallies beacons
+/// heard. `brute_force` swaps the neighbor query; `profile` enables the
+/// tick-phase profiler (byte-identical behavior by the §5j invariant —
+/// only wall-clock attribution is added).
+fn build_cell(n: usize, brute_force: bool, profile: bool) -> (Runner, Rc<RefCell<u64>>) {
     let mut sim = Runner::new(SimConfig::default());
     sim.set_brute_force_neighbors(brute_force);
     if profile {
@@ -154,12 +159,15 @@ fn run_cell(n: usize, brute_force: bool, profile: bool, obs: &Obs) -> CellResult
         let d = sim.add_device(DeviceCaps::PI, pos);
         sim.set_stack(d, Box::new(Beacon { scans: i % SCAN_STRIDE == 0, heard: heard.clone() }));
     }
+    (sim, heard)
+}
 
-    let label = match (brute_force, profile) {
-        (true, _) => format!("n{n}.brute"),
-        (false, true) => format!("n{n}.profiled"),
-        (false, false) => format!("n{n}"),
-    };
+/// Runs an N-device fleet for `ticks_for(n)` beacon rounds, timing each
+/// round and counting its heap allocations.
+fn run_cell(n: usize, brute_force: bool, obs: &Obs) -> CellResult {
+    let ticks = ticks_for(n);
+    let (mut sim, heard) = build_cell(n, brute_force, false);
+    let label = if brute_force { format!("n{n}.brute") } else { format!("n{n}") };
     let tick_us = obs.digest(&format!("scale.{label}.tick_us"));
     let allocs_before = ALLOCS.load(Ordering::Relaxed);
     let started = Instant::now();
@@ -179,12 +187,35 @@ fn run_cell(n: usize, brute_force: bool, profile: bool, obs: &Obs) -> CellResult
         p95_tick_us: tick_us.quantile(0.95),
         allocs_per_tick: allocs as f64 / ticks as f64,
         heard,
-        report: sim.profiler().map(|p| p.report()),
     }
 }
 
+/// One profiler-off and one profiler-on copy of the N-device cell, run
+/// side by side: every beacon round runs on both, alternating which goes
+/// first, so host noise (other tenants, clock drift) lands on both sides
+/// alike. Returns wall seconds off and on, beacons heard off and on, and
+/// the profiler's report.
+fn run_overhead_pair(n: usize) -> (f64, f64, u64, u64, PhaseReport) {
+    let (mut off, heard_off) = build_cell(n, false, false);
+    let (mut on, heard_on) = build_cell(n, false, true);
+    let (mut secs_off, mut secs_on) = (0.0, 0.0);
+    for t in 1..=ticks_for(n) {
+        let until = SimTime::from_millis(TICK_MS * t);
+        for profiled in [t % 2 == 0, t % 2 == 1] {
+            let (sim, secs) =
+                if profiled { (&mut on, &mut secs_on) } else { (&mut off, &mut secs_off) };
+            let started = Instant::now();
+            sim.run_until(until);
+            *secs += started.elapsed().as_secs_f64();
+        }
+    }
+    let report = on.profiler().expect("profiler enabled").report();
+    let (heard_off, heard_on) = (*heard_off.borrow(), *heard_on.borrow());
+    (secs_off, secs_on, heard_off, heard_on, report)
+}
+
 /// Prints a profiled cell's per-phase share breakdown.
-fn print_phase_report(label: &str, r: &omni_obs::PhaseReport) {
+fn print_phase_report(label: &str, r: &PhaseReport) {
     let shares: Vec<String> = r
         .phases
         .iter()
@@ -199,7 +230,7 @@ fn main() {
     let obs = ObsRun::new("scale");
 
     if smoke {
-        let cell = run_cell(1000, false, false, &obs);
+        let cell = run_cell(1000, false, &obs);
         println!(
             "scale smoke: 1000 nodes, {:.0} ticks/sec, mean tick {:.0} µs, p95 {} µs, \
              {:.0} allocs/tick, {} beacons heard",
@@ -223,7 +254,7 @@ fn main() {
             cell.allocs_per_tick
         );
 
-        let big = run_cell(10_000, false, false, &obs);
+        let big = run_cell(10_000, false, &obs);
         println!(
             "scale smoke: 10000 nodes, {:.0} ticks/sec, p95 {} µs, {:.0} allocs/tick",
             big.ticks_per_sec, big.p95_tick_us, big.allocs_per_tick
@@ -240,11 +271,44 @@ fn main() {
              — the zero-copy wire path regressed (DESIGN.md §5i)",
             big.allocs_per_tick
         );
-        // One profiled 10k cell after the timing asserts (so the profiler's
-        // small overhead cannot color them): where does the tick time go?
-        let profiled = run_cell(10_000, false, true, &obs);
-        assert_eq!(big.heard, profiled.heard, "profiled run diverged — §5j invariant broken");
-        print_phase_report("10k smoke", profiled.report.as_ref().expect("profiled cell"));
+        // Profiler overhead, after the timing asserts so it cannot color
+        // them. Each round pairs an off and an on run tick by tick; the
+        // median of three rounds discards the one a host hiccup skewed.
+        let mut rounds = Vec::new();
+        let mut report = None;
+        for _ in 0..3 {
+            let (off, on, heard_off, heard_on, r) = run_overhead_pair(10_000);
+            assert_eq!(big.heard, heard_off, "same fleet, same seed — heard must repeat");
+            assert_eq!(big.heard, heard_on, "profiled run diverged — §5j invariant broken");
+            rounds.push((on - off) / off * 100.0);
+            report = Some(r);
+        }
+        rounds.sort_by(f64::total_cmp);
+        let overhead_pct = rounds[1];
+        println!(
+            "scale smoke: 10000-node profiler overhead {overhead_pct:+.2}% \
+             (median of rounds {:+.2}%, {:+.2}%, {:+.2}%)",
+            rounds[0], rounds[1], rounds[2]
+        );
+        assert!(
+            overhead_pct <= PROFILER_OVERHEAD_MAX_PCT,
+            "profiler overhead {overhead_pct:.2}% exceeds the {PROFILER_OVERHEAD_MAX_PCT}% budget"
+        );
+        let report = report.expect("profiled cell has a report");
+        print_phase_report("10k smoke", &report);
+
+        let folded = flamegraph_collapsed(&report);
+        let path = std::path::Path::new("target").join("obs").join("profile.folded");
+        let _ = std::fs::create_dir_all(path.parent().expect("nested path"));
+        std::fs::write(&path, &folded).expect("write collapsed stacks");
+        let parsed = parse_collapsed(&folded);
+        let total: u64 = parsed.iter().map(|(_, us)| *us).sum();
+        assert_eq!(total, report.total_us, "collapsed-stack round-trip lost time");
+        println!(
+            "scale smoke: flamegraph {} ({} frames, {total} µs)",
+            path.display(),
+            parsed.len()
+        );
 
         let mut b = Baseline::new("scale", true);
         b.gate("n1000_heard", cell.heard as f64, 0.0);
@@ -255,6 +319,10 @@ fn main() {
         b.info("n1000_allocs_per_tick", cell.allocs_per_tick);
         b.info("n10000_ticks_per_sec", big.ticks_per_sec);
         b.info("n10000_allocs_per_tick", big.allocs_per_tick);
+        b.info("overhead_pct", overhead_pct);
+        for p in report.phases.iter().filter(|p| p.scopes > 0) {
+            b.info(&format!("share_{}", p.phase.name()), p.share);
+        }
         omni_bench::baseline::emit(&b);
         println!("scale: ok");
         return;
@@ -268,7 +336,7 @@ fn main() {
     let mut chart = Chart::new("Ticks/sec by fleet size (spatial grid)", "ticks/sec");
     let mut grid_1000 = None;
     for n in [100usize, 500, 1000, 5000, 10_000, 50_000, 100_000] {
-        let cell = run_cell(n, false, false, &obs);
+        let cell = run_cell(n, false, &obs);
         println!(
             "n={n:6}: {:8.1} ticks/sec, mean {:8.0} µs, p95 {:7} µs, {:8.0} allocs/tick, \
              {} beacons heard",
@@ -304,8 +372,8 @@ fn main() {
     // brute run: on a loaded box the sweep's earlier cells can depress the
     // first sample enough to flake a 10× floor that holds comfortably.
     let grid = grid_1000.expect("1000-node cell ran");
-    let brute = run_cell(1000, true, false, &obs);
-    let grid_fresh = run_cell(1000, false, false, &obs);
+    let brute = run_cell(1000, true, &obs);
+    let grid_fresh = run_cell(1000, false, &obs);
     assert_eq!(grid.heard, grid_fresh.heard, "same fleet, same seed — heard must repeat");
     let speedup = grid.ticks_per_sec.max(grid_fresh.ticks_per_sec) / brute.ticks_per_sec;
     println!(

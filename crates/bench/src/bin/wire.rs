@@ -14,8 +14,13 @@
 //! which keeps the gate honest: if the counter ever stops seeing the
 //! oracle's payload copy, the zero-alloc assertions above are meaningless.
 //!
-//! `--smoke` runs the assertions quietly for `scripts/ci.sh`; without the
-//! flag it also reports per-op throughput.
+//! The same `measure()` loop also times the other codec hot paths: the §3.4
+//! beacon cipher (seal, open, forged-tag reject), consolidated control
+//! batches, and OmniAddress derivation. Every case prints and exports
+//! `wire.<case>.ns_per_op` and `wire.<case>.milli_allocs_per_op`.
+//!
+//! `--smoke` runs the assertions for `scripts/ci.sh`; without the flag it
+//! also reports per-op throughput.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -24,8 +29,12 @@ use std::time::Instant;
 
 use bytes::{Bytes, BytesMut};
 use omni_bench::ObsRun;
+use omni_core::{ContextCipher, ControlFrame, GroupKey};
 use omni_wire::frame::{self, Incoming};
-use omni_wire::{FrameView, OmniAddress, PackedStruct, PackedView, RelayHeader, TraceId};
+use omni_wire::{
+    AddressBeaconPayload, BleAddress, FrameView, MeshAddress, OmniAddress, PackedStruct,
+    PackedView, RelayHeader, TraceId,
+};
 
 /// Counts every heap allocation (and reallocation) the process makes.
 struct CountingAlloc;
@@ -111,28 +120,69 @@ fn main() {
         black_box(black_box(&packed).encode());
     });
 
-    for (name, allocs, ns) in [
-        ("view_parse", view_allocs, view_ns),
-        ("decode_shared", shared_allocs, shared_ns),
-        ("owned_decode", owned_allocs, owned_ns),
-        ("pooled_encode", pooled_allocs, pooled_ns),
-        ("legacy_encode", legacy_allocs, legacy_ns),
+    // A keyed fleet seals every address beacon it sends and opens every one
+    // it hears; a forged tag is rejected after the same fused pass.
+    let beacon = PackedStruct::address_beacon(
+        origin,
+        &AddressBeaconPayload {
+            mesh: Some(MeshAddress::from_u64(0xfeed)),
+            ble: Some(BleAddress([2, 0, 0, 0, 0, 1])),
+        },
+    );
+    let key = GroupKey::from_passphrase("codec-bench-group");
+    let mut cipher = ContextCipher::new(key, origin.as_u64());
+    let seal = measure(|| {
+        black_box(cipher.seal(black_box(&beacon.payload)));
+    });
+    let sealed = cipher.seal(&beacon.payload);
+    let open = measure(|| {
+        black_box(ContextCipher::open(black_box(&key), black_box(&sealed)).expect("valid tag"));
+    });
+    let mut forged = sealed.to_vec();
+    forged[8] ^= 0x01; // first tag byte
+    let open_forged = measure(|| {
+        assert!(ContextCipher::open(black_box(&key), black_box(&forged)).is_none());
+    });
+
+    // Consolidated multicast beacon: address beacon + three context packs.
+    let batch = ControlFrame::Batch(vec![
+        beacon.clone(),
+        PackedStruct::context(origin, Bytes::from_static(b"svc:interaction-advert")),
+        PackedStruct::context(origin, Bytes::from_static(b"interest:media")),
+        PackedStruct::context(origin, Bytes::from_static(b"inventory:0123456789abcdef")),
+    ]);
+    let batch_encoded = batch.encode();
+    let batch_encode = measure(|| {
+        black_box(black_box(&batch).encode());
+    });
+    let batch_decode = measure(|| {
+        black_box(ControlFrame::decode(black_box(&batch_encoded)).expect("valid batch"));
+    });
+
+    let macs = [[0x02, 0x57, 0x1f, 0, 0, 1], [0x02, 0, 0, 0, 0, 1]];
+    let derive = measure(|| {
+        black_box(OmniAddress::from_interface_macs(black_box(&macs)));
+    });
+
+    for (name, (allocs, ns)) in [
+        ("view_parse", (view_allocs, view_ns)),
+        ("decode_shared", (shared_allocs, shared_ns)),
+        ("owned_decode", (owned_allocs, owned_ns)),
+        ("pooled_encode", (pooled_allocs, pooled_ns)),
+        ("legacy_encode", (legacy_allocs, legacy_ns)),
+        ("context_seal_beacon", seal),
+        ("context_open_beacon", open),
+        ("context_open_forged", open_forged),
+        ("control_batch_encode", batch_encode),
+        ("control_batch_decode", batch_decode),
+        ("omni_address_derivation", derive),
     ] {
+        println!("wire: {name:<24} {allocs:6.3} allocs/op {ns:8.0} ns/op");
         obs.gauge(&format!("wire.{name}.ns_per_op")).set(ns as i64);
         // Gauges are integral; scale by 1000 so fractional alloc rates
         // (one-time growth amortized over the loop) stay visible.
         obs.gauge(&format!("wire.{name}.milli_allocs_per_op")).set((allocs * 1000.0) as i64);
     }
-
-    println!(
-        "wire smoke: view parse {view_allocs:.3} allocs/op ({view_ns:.0} ns), \
-         decode_shared {shared_allocs:.3} allocs/op ({shared_ns:.0} ns), \
-         owned decode {owned_allocs:.3} allocs/op ({owned_ns:.0} ns)"
-    );
-    println!(
-        "wire smoke: pooled encode {pooled_allocs:.3} allocs/op ({pooled_ns:.0} ns), \
-         legacy encode {legacy_allocs:.3} allocs/op ({legacy_ns:.0} ns)"
-    );
 
     assert!(
         view_allocs == 0.0,

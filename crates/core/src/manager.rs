@@ -139,9 +139,6 @@ struct MgrObs {
     ttl_expired: Counter,
     /// `mgr.custody_depth`: frames currently held in custody.
     custody_depth: Gauge,
-    /// Fresh-peer snapshot from the previous engagement evaluation, for
-    /// `PeerExpired` detection (independent of the adaptive-beacon state).
-    fresh_prev: BTreeSet<OmniAddress>,
 }
 
 impl MgrObs {
@@ -175,7 +172,6 @@ impl MgrObs {
             data_deduped: obs.counter_with("mgr.data_deduped", &[("strategy", relay_label)]),
             ttl_expired: obs.counter_with("mgr.ttl_expired", &[("strategy", relay_label)]),
             custody_depth: obs.gauge("mgr.custody_depth"),
-            fresh_prev: BTreeSet::new(),
         }
     }
 
@@ -317,10 +313,11 @@ pub struct OmniManager {
     /// Whether a peer was sighted for the first time since the previous
     /// engagement evaluation (drives the adaptive beacon policy).
     peer_discovered: bool,
-    /// Fresh-peer snapshot for reliable-send cancellation: when a peer's
-    /// record expires, its outstanding retries are failed terminally
-    /// (independent of the adaptive-beacon and obs snapshots).
-    retry_fresh_prev: BTreeSet<OmniAddress>,
+    /// Fresh-peer snapshot from the previous engagement evaluation, kept
+    /// when obs or retry is on: a peer that drops out of it emits
+    /// `PeerExpired` and has its outstanding reliable sends failed
+    /// terminally (independent of the adaptive-beacon state).
+    fresh_prev: BTreeSet<OmniAddress>,
     /// Manager-level observability instruments, present when
     /// [`OmniConfig::obs`] is set.
     mgr_obs: Option<MgrObs>,
@@ -412,7 +409,7 @@ impl OmniManager {
             prophet,
             beacon_interval_current: beacon_interval,
             peer_discovered: false,
-            retry_fresh_prev: BTreeSet::new(),
+            fresh_prev: BTreeSet::new(),
             mgr_obs,
             next_trace_seq: 0,
         }
@@ -2120,26 +2117,20 @@ impl OmniManager {
 
     fn evaluate_engagement(&mut self, api: &mut NodeApi<'_>) {
         self.adapt_beacon_interval();
-        if let Some(m) = self.mgr_obs.as_mut() {
+        if self.mgr_obs.is_some() || self.cfg.retry.enabled() {
             let fresh: BTreeSet<OmniAddress> =
                 self.peers.fresh_peers(api.now, self.cfg.peer_ttl).into_iter().collect();
-            for &gone in m.fresh_prev.difference(&fresh) {
-                m.obs.event(
-                    api.now.as_micros(),
-                    m.node,
-                    EventKind::PeerExpired { peer: gone.as_u64() },
-                );
+            let expired: Vec<OmniAddress> = self.fresh_prev.difference(&fresh).copied().collect();
+            self.fresh_prev = fresh;
+            if let Some(m) = &self.mgr_obs {
+                for gone in &expired {
+                    m.event(api.now, EventKind::PeerExpired { peer: gone.as_u64() });
+                }
             }
-            m.fresh_prev = fresh;
-        }
-        if self.cfg.retry.enabled() {
-            let fresh: BTreeSet<OmniAddress> =
-                self.peers.fresh_peers(api.now, self.cfg.peer_ttl).into_iter().collect();
-            let expired: Vec<OmniAddress> =
-                self.retry_fresh_prev.difference(&fresh).copied().collect();
-            self.retry_fresh_prev = fresh;
-            for peer in expired {
-                self.cancel_sends_to(peer, api);
+            if self.cfg.retry.enabled() {
+                for peer in expired {
+                    self.cancel_sends_to(peer, api);
+                }
             }
         }
         if self.cfg.relay.enabled() {
@@ -2290,5 +2281,91 @@ mod tests {
         assert!(!obs.events().iter().any(|e| matches!(e.kind, EventKind::PeerDiscovered { .. })));
         let rejected = obs.counter_with("mgr.rx_rejected", &[("cause", "unauthenticated")]);
         assert_eq!(rejected.get(), FORGED);
+    }
+    /// One fresh-peer snapshot feeds both expiry consumers: with obs and
+    /// retry on (relay off), a peer that churns away emits exactly one
+    /// `PeerExpired`, and each reliable send pending to it ends in exactly
+    /// one terminal `SendExhausted`.
+    #[test]
+    fn churned_peer_expires_once_and_cancels_each_pending_send_once() {
+        use crate::{OmniBuilder, OmniStack, RetryPolicy};
+        use omni_sim::{ChurnWindow, DeviceCaps, FaultConfig, Position, Runner, SimConfig};
+
+        const SENDS: u64 = 2;
+        let mut sim = Runner::new(SimConfig {
+            faults: FaultConfig {
+                // Down long past the 3 s peer TTL; the run ends before the
+                // peer comes back.
+                churn: vec![ChurnWindow {
+                    dev: 1,
+                    down_at: SimTime::from_secs(10),
+                    up_at: SimTime::from_secs(40),
+                }],
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
+        let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+        let dest = OmniBuilder::omni_address(&sim, b);
+        let cfg = OmniConfig {
+            data_techs: Some(vec![TechType::WifiTcp, TechType::BleBeacon]),
+            // Enough passes that every send would still be retrying at
+            // expiry time if nothing cancelled it.
+            retry: RetryPolicy { max_attempts: 20, ..RetryPolicy::reliable() },
+            ..OmniConfig::default()
+        };
+        assert!(!cfg.relay.enabled());
+
+        let obs = Obs::with_event_capacity(1 << 16);
+        type Log = Rc<RefCell<Vec<(StatusCode, String)>>>;
+        let log: Log = Rc::new(RefCell::new(Vec::new()));
+        let l = log.clone();
+        let builder = OmniBuilder::new().with_ble().with_wifi().with_config(cfg.clone());
+        let mgr = builder.clone().with_obs(&obs).build(&sim, a);
+        sim.set_stack(
+            a,
+            Box::new(OmniStack::new(mgr, move |omni| {
+                omni.request_timers(Box::new(move |_, o| {
+                    let l2 = l.clone();
+                    o.send_data(
+                        vec![dest],
+                        Bytes::from_static(b"hello"),
+                        Box::new(move |code, info, _| {
+                            l2.borrow_mut().push((code, format!("{info}")));
+                        }),
+                    );
+                }));
+                // Issued just after the peer goes down, while it is fresh.
+                for token in 1..=SENDS {
+                    omni.set_timer(token, SimDuration::from_millis(10_200));
+                }
+            })),
+        );
+        let mgr = builder.build(&sim, b);
+        sim.set_stack(b, Box::new(OmniStack::new(mgr, |_| {})));
+        sim.run_until(SimTime::from_secs(30));
+
+        assert_eq!(obs.events_dropped(), 0, "event ring overflowed");
+        let events = obs.events();
+        let expired: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::PeerExpired { peer } => Some(peer),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(expired, vec![dest.as_u64()], "exactly one PeerExpired for the churned peer");
+        let exhausted = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::SendExhausted { peer, .. } if peer == dest.as_u64()))
+            .count();
+        assert_eq!(exhausted as u64, SENDS, "one SendExhausted per pending send");
+        let log = log.borrow();
+        assert_eq!(log.len() as u64, SENDS, "each send concluded exactly once: {log:?}");
+        for (code, info) in log.iter() {
+            assert_eq!(*code, StatusCode::SendDataFailure, "{info}");
+            assert!(info.contains("peer expired; retries cancelled"), "{info}");
+        }
     }
 }

@@ -644,10 +644,9 @@ mod tests {
     fn collapsed_stack_round_trips() {
         use crate::profile::{Phase, TickProfiler};
         let mut p = TickProfiler::new();
-        {
-            let _s = p.scope(Phase::Deliver);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
+        let token = p.begin(Phase::Deliver);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        p.finish(token);
         let mut report = p.report();
         report.phases[Phase::TimerDrain as usize].total_us = 4_000;
         let text = flamegraph_collapsed(&report);

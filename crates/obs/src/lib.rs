@@ -7,8 +7,6 @@
 //! * **Metrics** — atomic [`Counter`]s, [`Gauge`]s, and fixed-bucket
 //!   [`Histogram`]s (p50/p95/p99/max readout) in a [`MetricsRegistry`].
 //!   Recording is lock-free and allocation-free.
-//! * **Spans** — [`Stopwatch`] and [`time_scope!`] for wall-clock intervals;
-//!   [`Histogram::record_between`] for sim-clock intervals.
 //! * **Events** — a typed [`EventKind`] stream ([`BeaconSent`], …,
 //!   [`QueueDropped`]) in a bounded [`EventRing`] that overwrites the oldest
 //!   entry when full and counts the overflow.
@@ -54,7 +52,6 @@ mod export;
 pub mod json;
 mod metrics;
 mod profile;
-mod span;
 mod timeseries;
 
 pub use digest::{
@@ -70,9 +67,8 @@ pub use metrics::{
     MetricsRead, MetricsRegistry, MAX_LABEL_SETS,
 };
 pub use profile::{
-    Phase, PhaseReport, PhaseScope, PhaseSlice, PhaseStat, ScopedPhase, TickProfiler, PHASE_COUNT,
+    Phase, PhaseReport, PhaseScope, PhaseSlice, PhaseStat, TickProfiler, PHASE_COUNT,
 };
-pub use span::{ScopeTimer, Stopwatch};
 pub use timeseries::{Sample, SeriesRing};
 
 use std::sync::Arc;

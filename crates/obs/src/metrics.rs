@@ -217,14 +217,6 @@ impl Histogram {
         inner.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Record the width of a half-open interval `[start, end)`; tolerates
-    /// clock skew by saturating at zero.  Handy for sim-clock spans where the
-    /// caller holds both marks as microseconds.
-    #[inline]
-    pub fn record_between(&self, start: u64, end: u64) {
-        self.record(end.saturating_sub(start));
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
@@ -703,16 +695,5 @@ mod tests {
         // Pre-existing label sets keep resolving to their own series.
         reg.counter_with("cells", &[("cell", "0")]).inc();
         assert_eq!(reg.counter("cells{cell=0}").get(), 2);
-    }
-
-    #[test]
-    fn histogram_record_between_saturates() {
-        let h = Histogram::new();
-        h.record_between(10, 4); // skewed clock → 0, not a panic/wrap
-        h.record_between(4, 10);
-        let s = h.summary();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.max, 6);
-        assert_eq!(s.min, 0);
     }
 }

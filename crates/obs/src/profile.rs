@@ -15,12 +15,10 @@
 //! [`TickProfiler::report`], which no deterministic artifact includes
 //! (the same rule that keeps `*.wait_us` histograms out of sampler JSONL).
 //!
-//! Two instrumentation styles are supported: the RAII guard
-//! [`TickProfiler::scope`] for straight-line regions, and the
-//! [`PhaseScope`] token pair [`TickProfiler::begin`] /
-//! [`TickProfiler::finish`] for regions where an `&mut` borrow of the
-//! profiler cannot live across the measured code (the runner's event
-//! dispatch).
+//! Regions are timed with the [`PhaseScope`] token pair
+//! [`TickProfiler::begin`] / [`TickProfiler::finish`], which works even
+//! where an `&mut` borrow of the profiler cannot live across the measured
+//! code (the runner's event dispatch).
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -91,21 +89,6 @@ impl PhaseScope {
     /// consecutive same-phase work into one measurement.
     pub fn phase(&self) -> Phase {
         self.phase
-    }
-}
-
-/// RAII guard from [`TickProfiler::scope`]: records the elapsed phase time
-/// on drop.
-#[derive(Debug)]
-pub struct ScopedPhase<'a> {
-    profiler: &'a mut TickProfiler,
-    phase: Phase,
-    start: Instant,
-}
-
-impl Drop for ScopedPhase<'_> {
-    fn drop(&mut self) {
-        self.profiler.record_elapsed(self.phase, self.start);
     }
 }
 
@@ -211,12 +194,6 @@ impl TickProfiler {
         self.record_elapsed(scope.phase, scope.start);
     }
 
-    /// RAII variant of [`TickProfiler::begin`]: records on drop.
-    pub fn scope(&mut self, phase: Phase) -> ScopedPhase<'_> {
-        let start = Instant::now();
-        ScopedPhase { profiler: self, phase, start }
-    }
-
     fn record_elapsed(&mut self, phase: Phase, start: Instant) {
         let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         let i = phase.idx();
@@ -274,10 +251,9 @@ mod tests {
     #[test]
     fn scopes_attribute_time_to_their_phase() {
         let mut p = TickProfiler::new();
-        {
-            let _s = p.scope(Phase::Deliver);
-            spin(Duration::from_millis(2));
-        }
+        let token = p.begin(Phase::Deliver);
+        spin(Duration::from_millis(2));
+        p.finish(token);
         let token = p.begin(Phase::TimerDrain);
         spin(Duration::from_millis(1));
         p.finish(token);

@@ -725,7 +725,7 @@ impl Runner {
     /// two clock reads per phase *transition*, not two per event. The tick
     /// loop drains long same-phase runs (a beacon round delivers thousands
     /// of frames back to back), so this keeps profiler overhead within
-    /// the ≤5% budget the `profile` bench enforces. Phase totals are exact
+    /// the ≤5% budget `scale --smoke` enforces. Phase totals are exact
     /// either way; the per-phase latency quantiles describe contiguous
     /// same-phase runs rather than single events.
     ///

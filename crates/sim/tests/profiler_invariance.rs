@@ -101,6 +101,9 @@ fn faulty_500_node_fleet_is_byte_identical_profiler_on_and_off() {
     assert!(!off.sampler_jsonl.is_empty());
     let on = run(&sc, true);
     off.assert_identical(&on, "500-node fleet");
+    // Pinned exactly: a behavior change that moves both runs alike is
+    // still caught.
+    assert_eq!(off.heard_total, 205_291, "500-node fleet heard count drifted");
 }
 
 proptest! {

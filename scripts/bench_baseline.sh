@@ -17,7 +17,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES=(telemetry reliability scale relay profile)
+BENCHES=(telemetry reliability scale relay)
 REUSE=0
 UPDATE=0
 for a in "$@"; do

@@ -20,19 +20,15 @@ cargo test --workspace -q
 
 echo "== wire smoke (zero-copy allocation gate + codec microbenches) =="
 cargo run --release -p omni-bench --bin wire -- --smoke
-cargo bench -q -p omni-bench --bench codec
 
 echo "== reliability smoke (fault matrix) =="
 cargo run --release -p omni-bench --bin reliability -- --smoke
 
-echo "== scale smoke (1000/10k-node tick and allocation budgets, 10k phase shares) =="
+echo "== scale smoke (1000/10k-node tick and allocation budgets, <=5% profiler overhead on the 10k cell) =="
 cargo run --release -p omni-bench --bin scale -- --smoke
 
 echo "== trace smoke (flight-recorder completeness + determinism) =="
 cargo run --release -p omni-bench --bin trace -- --smoke
-
-echo "== profile smoke (profiler byte-identity + <=5% overhead on the 10k cell) =="
-cargo run --release -p omni-bench --bin profile -- --smoke
 
 echo "== telemetry smoke (fault-window reconstruction from series) =="
 cargo run --release -p omni-bench --bin telemetry -- --smoke
