@@ -17,7 +17,10 @@
 //! The same `measure()` loop also times the other codec hot paths: the §3.4
 //! beacon cipher (seal, open, forged-tag reject), consolidated control
 //! batches, and OmniAddress derivation. Every case prints and exports
-//! `wire.<case>.ns_per_op` and `wire.<case>.milli_allocs_per_op`.
+//! `wire.<case>.ns_per_op` and `wire.<case>.milli_allocs_per_op`. The
+//! receive path's cases are gated too: opening a sealed beacon into a
+//! reused buffer (authentic or forged) and deriving an `OmniAddress`
+//! allocate nothing.
 //!
 //! `--smoke` runs the assertions for `scripts/ci.sh`; without the flag it
 //! also reports per-op throughput.
@@ -143,6 +146,19 @@ fn main() {
     let open_forged = measure(|| {
         assert!(ContextCipher::open(black_box(&key), black_box(&forged)).is_none());
     });
+    // The manager's receive path: one plaintext buffer reused across
+    // frames, the beacon decoded straight from it.
+    let mut opened = Vec::new();
+    let open_into = measure(|| {
+        let plain = ContextCipher::open_into(black_box(&key), black_box(&sealed), &mut opened)
+            .expect("valid tag");
+        black_box(AddressBeaconPayload::decode(plain).expect("beacon body"));
+    });
+    let open_into_forged = measure(|| {
+        assert!(
+            ContextCipher::open_into(black_box(&key), black_box(&forged), &mut opened).is_none()
+        );
+    });
 
     // Consolidated multicast beacon: address beacon + three context packs.
     let batch = ControlFrame::Batch(vec![
@@ -173,6 +189,8 @@ fn main() {
         ("context_seal_beacon", seal),
         ("context_open_beacon", open),
         ("context_open_forged", open_forged),
+        ("context_open_into_beacon", open_into),
+        ("context_open_into_forged", open_into_forged),
         ("control_batch_encode", batch_encode),
         ("control_batch_decode", batch_decode),
         ("omni_address_derivation", derive),
@@ -192,6 +210,13 @@ fn main() {
         shared_allocs == 0.0,
         "decode_shared must be allocation-free, measured {shared_allocs:.3} allocs/op"
     );
+    for (name, (allocs, _)) in [
+        ("context_open_into_beacon", open_into),
+        ("context_open_into_forged", open_into_forged),
+        ("omni_address_derivation", derive),
+    ] {
+        assert!(allocs == 0.0, "{name} must be allocation-free, measured {allocs:.3} allocs/op");
+    }
     assert!(
         owned_allocs > 0.0,
         "the owned oracle should copy its payload; a zero reading means the \

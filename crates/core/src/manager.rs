@@ -36,7 +36,7 @@ use crate::api::{
     TimerCallback,
 };
 use crate::config::OmniConfig;
-use crate::peers::PeerMap;
+use crate::peers::{tech_idx, PeerMap};
 use crate::queues::{
     LowAddr, ReceivedItem, ResponseOk, SendOp, SendRequest, SharedQueue, TechQueues, TechResponse,
 };
@@ -68,16 +68,6 @@ fn tech_label(ty: TechType) -> &'static str {
         TechType::WifiMulticast => "wifi-multicast",
         TechType::WifiTcp => "wifi-tcp",
         TechType::Nfc => "nfc",
-    }
-}
-
-/// Dense index for the per-technology instrument arrays in [`MgrObs`].
-fn tech_idx(ty: TechType) -> usize {
-    match ty {
-        TechType::BleBeacon => 0,
-        TechType::WifiMulticast => 1,
-        TechType::WifiTcp => 2,
-        TechType::Nfc => 3,
     }
 }
 
@@ -193,6 +183,12 @@ struct TechSlot {
     send: SharedQueue<SendRequest>,
     ty: TechType,
     addr: Option<LowAddr>,
+    /// Set by [`OmniManager::push_send`], cleared when `pump` polls the
+    /// technology: a poll only drains the send queue, so a technology
+    /// with nothing enqueued since its last poll is skipped without
+    /// touching (locking) its queue. Starts set, so the first pump after
+    /// `enable` polls every technology once.
+    ready: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,6 +290,9 @@ pub struct OmniManager {
     /// Context-beacon sealer (paper §3.4), present when a group key is
     /// configured.
     cipher: Option<ContextCipher>,
+    /// Plaintext of the last sealed payload [`Self::open`] authenticated;
+    /// reused across receives so opening a beacon never allocates.
+    opened: Vec<u8>,
     /// Context-relay dedup: (origin, payload hash) → last relayed at.
     ctx_relay_seen: HashMap<(OmniAddress, u64), omni_sim::SimTime>,
     /// Data-relay dedup (DESIGN.md §5h): bounded first-seen set over trace
@@ -364,7 +363,13 @@ impl OmniManager {
                     tech.attach_obs(obs);
                 }
                 let ty = tech.tech_type();
-                TechSlot { ty, tech, send: mk_queue(&cfg, send_queue_label(ty), node), addr: None }
+                TechSlot {
+                    ty,
+                    tech,
+                    send: mk_queue(&cfg, send_queue_label(ty), node),
+                    addr: None,
+                    ready: true,
+                }
             })
             .collect();
         let mgr_obs =
@@ -402,6 +407,7 @@ impl OmniManager {
             pending_calls: Vec::new(),
             started: false,
             cipher: cfg_cipher,
+            opened: Vec::new(),
             ctx_relay_seen: HashMap::new(),
             data_seen,
             custody,
@@ -545,12 +551,22 @@ impl OmniManager {
         }
     }
 
-    /// Opens a sealed context/beacon payload; `None` means the beacon is
-    /// not authentic for our group and must be ignored.
-    fn open(&self, payload: &Bytes) -> Option<Bytes> {
-        match self.cipher.as_ref() {
-            Some(c) => ContextCipher::open(&c.key(), payload),
-            None => Some(payload.clone()),
+    /// Authenticates a sealed context/beacon payload, decrypting it into
+    /// `self.opened`; `false` means it is not authentic for our group and
+    /// must be ignored. Unkeyed managers accept every payload as plaintext.
+    fn open(&mut self, payload: &[u8]) -> bool {
+        match &self.cipher {
+            Some(c) => ContextCipher::open_into(&c.key(), payload, &mut self.opened).is_some(),
+            None => true,
+        }
+    }
+
+    /// The plaintext of `payload` after [`Self::open`] accepted it.
+    fn plaintext<'a>(&'a self, payload: &'a [u8]) -> &'a [u8] {
+        if self.cipher.is_some() {
+            &self.opened
+        } else {
+            payload
         }
     }
 
@@ -609,7 +625,9 @@ impl OmniManager {
         for _ in 0..256 {
             let mut progressed = false;
             for slot in &mut self.techs {
-                slot.tech.poll(api);
+                if std::mem::take(&mut slot.ready) {
+                    slot.tech.poll(api);
+                }
             }
             while let Some(item) = self.receive.pop() {
                 progressed = true;
@@ -675,26 +693,18 @@ impl OmniManager {
         // Authenticate/decrypt first (paper §3.4): beacons and context packs
         // that are not sealed for our group are ignored entirely — no peer
         // record, no encounter, no custody offer. Data frames are unsealed.
-        let plain = match item.packed.kind {
-            ContentKind::Data => Bytes::new(),
-            _ => match self.open(&item.packed.payload) {
-                Some(plain) => plain,
-                None => {
-                    if let Some(m) = &self.mgr_obs {
-                        m.rx_rejected("unauthenticated");
-                    }
-                    return;
-                }
-            },
-        };
+        if item.packed.kind != ContentKind::Data && !self.open(&item.packed.payload) {
+            if let Some(m) = &self.mgr_obs {
+                m.rx_rejected("unauthenticated");
+            }
+            return;
+        }
         // Forwarded relay copies keep the *origin* in `source`; observing
         // them would poison the peer map with a non-link-local mapping
         // (the forwarder's own beacons handle link-local discovery).
-        let observe = item.packed.relay.is_none();
-        let is_new_peer = observe && self.peers.get(item.packed.source).is_none();
-        self.peer_discovered |= is_new_peer;
-        if observe {
-            self.peers.observe(item.packed.source, item.tech, item.source, now);
+        if item.packed.relay.is_none() {
+            let is_new_peer = self.peers.observe(item.packed.source, item.tech, item.source, now);
+            self.peer_discovered |= is_new_peer;
             if let Some(m) = &self.mgr_obs {
                 m.peers.set(self.peers.len() as i64);
                 if is_new_peer {
@@ -711,7 +721,8 @@ impl OmniManager {
         }
         match item.packed.kind {
             ContentKind::AddressBeacon => {
-                if let Ok(beacon) = omni_wire::AddressBeaconPayload::decode(&plain) {
+                let decoded = AddressBeaconPayload::decode(self.plaintext(&item.packed.payload));
+                if let Ok(beacon) = decoded {
                     if let Some(m) = &self.mgr_obs {
                         m.beacons_rx.inc();
                         m.event(
@@ -734,7 +745,15 @@ impl OmniManager {
                     self.peers.observe_beacon(item.packed.source, &beacon, via, now);
                 }
             }
-            ContentKind::Context => self.handle_context_plain(item.packed.source, plain, api),
+            ContentKind::Context => {
+                // The one copy on this path: the application's context
+                // callback takes `&Bytes`.
+                let plain = match self.cipher {
+                    Some(_) => Bytes::copy_from_slice(&self.opened),
+                    None => item.packed.payload.clone(),
+                };
+                self.handle_context_plain(item.packed.source, plain, api);
+            }
             ContentKind::Data => match item.packed.relay {
                 Some(header) => self.handle_relay_data(item, header, api),
                 None => self.deliver_data(&item, now),
@@ -1155,14 +1174,8 @@ impl OmniManager {
         let engaged: Vec<TechType> = self.engaged.iter().copied().collect();
         for tech in engaged {
             let token = self.alloc_token();
-            if let Some(q) = self.queue_of(tech) {
-                let evicted = q.push(SendRequest {
-                    token,
-                    op: SendOp::RelayContext,
-                    packed: Some(packed.clone()),
-                });
-                self.surface_eviction(tech, evicted);
-            }
+            let req = SendRequest { token, op: SendOp::RelayContext, packed: Some(packed.clone()) };
+            self.push_send(tech, req);
         }
     }
 
@@ -1687,8 +1700,18 @@ impl OmniManager {
         self.next_token
     }
 
-    fn queue_of(&self, ty: TechType) -> Option<&SharedQueue<SendRequest>> {
-        self.techs.iter().find(|s| s.ty == ty).map(|s| &s.send)
+    /// Enqueues `req` on `tech`'s send queue and marks the technology
+    /// ready for the next `pump` pass. A request the bounded queue evicted
+    /// is surfaced as a failure; `req` itself is handed back when no such
+    /// technology is present.
+    fn push_send(&mut self, tech: TechType, req: SendRequest) -> Option<SendRequest> {
+        let Some(slot) = self.techs.iter_mut().find(|s| s.ty == tech) else {
+            return Some(req);
+        };
+        slot.ready = true;
+        let evicted = slot.send.push(req);
+        self.surface_eviction(tech, evicted);
+        None
     }
 
     fn context_techs(&self) -> Vec<TechType> {
@@ -1716,25 +1739,16 @@ impl OmniManager {
             CtxOp::Remove => SendOp::RemoveContext { context_id: id },
         };
         self.pending.insert(token, Pending::Context { op, id, cb, remaining });
-        if let Some(q) = self.queue_of(tech) {
-            let evicted = q.push(SendRequest { token, op: send_op, packed });
-            self.surface_eviction(tech, evicted);
-        } else {
+        if let Some(mut original) = self.push_send(tech, SendRequest { token, op: send_op, packed })
+        {
             // Technology vanished; fabricate a failure so fallback runs.
+            original.packed = None;
             self.response.push(TechResponse::Outcome {
                 tech,
                 token,
                 result: Err(crate::queues::TechFailure {
                     description: format!("technology {tech} not present"),
-                    original: SendRequest {
-                        token,
-                        op: match op {
-                            CtxOp::Add => SendOp::AddContext { context_id: id, interval },
-                            CtxOp::Update => SendOp::UpdateContext { context_id: id, interval },
-                            CtxOp::Remove => SendOp::RemoveContext { context_id: id },
-                        },
-                        packed: None,
-                    },
+                    original,
                 }),
             });
         }
@@ -1751,10 +1765,7 @@ impl OmniManager {
     ) {
         let token = self.alloc_token();
         self.pending.insert(token, Pending::Context { op, id, cb, remaining });
-        if let Some(q) = self.queue_of(tech) {
-            let evicted = q.push(SendRequest { token, op: original.op, packed: original.packed });
-            self.surface_eviction(tech, evicted);
-        }
+        self.push_send(tech, SendRequest { token, op: original.op, packed: original.packed });
     }
 
     /// Hands a send to a technology, arming the ack-deadline timer when the
@@ -1790,11 +1801,7 @@ impl OmniManager {
             send.tried.push(candidate.tech);
         }
         self.pending.insert(token, Pending::Data(send));
-        let evicted = match self.queue_of(candidate.tech) {
-            Some(q) => q.push(SendRequest { token, op, packed }),
-            None => None,
-        };
-        self.surface_eviction(candidate.tech, evicted);
+        self.push_send(candidate.tech, SendRequest { token, op, packed });
     }
 
     /// A bounded send queue evicted its oldest request to admit a new one.
@@ -2104,14 +2111,8 @@ impl OmniManager {
         let engaged: Vec<TechType> = self.engaged.iter().copied().collect();
         for tech in engaged {
             let token = self.alloc_token();
-            if let Some(q) = self.queue_of(tech) {
-                let evicted = q.push(SendRequest {
-                    token,
-                    op: SendOp::RelayContext,
-                    packed: Some(packed.clone()),
-                });
-                self.surface_eviction(tech, evicted);
-            }
+            let req = SendRequest { token, op: SendOp::RelayContext, packed: Some(packed.clone()) };
+            self.push_send(tech, req);
         }
     }
 

@@ -22,11 +22,24 @@ use omni_wire::{AddressBeaconPayload, BleAddress, MeshAddress, NfcAddress, OmniA
 
 use crate::queues::LowAddr;
 
+/// Dense index of a technology: the slot of its sighting in
+/// [`PeerRecord`] and of its per-technology instruments in the manager.
+pub(crate) fn tech_idx(ty: TechType) -> usize {
+    match ty {
+        TechType::BleBeacon => 0,
+        TechType::WifiMulticast => 1,
+        TechType::WifiTcp => 2,
+        TechType::Nfc => 3,
+    }
+}
+
 /// Everything known about one peer.
 #[derive(Debug, Default, Clone)]
 pub struct PeerRecord {
-    /// Last transmission seen per technology, with the low-level source.
-    pub seen: HashMap<TechType, (LowAddr, SimTime)>,
+    /// Last transmission seen per technology, with the low-level source,
+    /// indexed by [`tech_idx`]: a flat array, so a sighting costs no heap
+    /// table per peer.
+    seen: [Option<(LowAddr, SimTime)>; 4],
     /// Directly connectable mesh address (low-level-ND or session
     /// provenance).
     pub mesh_direct: Option<(MeshAddress, SimTime)>,
@@ -39,14 +52,20 @@ pub struct PeerRecord {
 }
 
 impl PeerRecord {
+    /// The last transmission seen from this peer on `tech`, with its
+    /// low-level source.
+    pub fn seen_on(&self, tech: TechType) -> Option<(LowAddr, SimTime)> {
+        self.seen[tech_idx(tech)]
+    }
+
     /// Whether this peer was heard on `tech` within `ttl` of `now`.
     pub fn fresh_on(&self, tech: TechType, now: SimTime, ttl: SimDuration) -> bool {
-        self.seen.get(&tech).map(|(_, at)| now.saturating_since(*at) <= ttl).unwrap_or(false)
+        fresh(&self.seen[tech_idx(tech)], now, ttl)
     }
 
     /// The most recent sighting on any technology.
     pub fn last_seen(&self) -> Option<SimTime> {
-        self.seen.values().map(|(_, at)| *at).max()
+        self.seen.iter().flatten().map(|(_, at)| *at).max()
     }
 }
 
@@ -66,12 +85,23 @@ impl PeerMap {
         Self::default()
     }
 
-    /// Records a transmission from `omni` on `tech` with low-level `source`.
-    /// "By including the omni_address, we are able to refresh part of the
-    /// peer mapping with each message" (paper §3.3).
-    pub fn observe(&mut self, omni: OmniAddress, tech: TechType, source: LowAddr, now: SimTime) {
-        let rec = self.peers.entry(omni).or_default();
-        rec.seen.insert(tech, (source, now));
+    /// Records a transmission from `omni` on `tech` with low-level `source`
+    /// and returns whether `omni` was a new peer (one map lookup either
+    /// way). "By including the omni_address, we are able to refresh part
+    /// of the peer mapping with each message" (paper §3.3).
+    pub fn observe(
+        &mut self,
+        omni: OmniAddress,
+        tech: TechType,
+        source: LowAddr,
+        now: SimTime,
+    ) -> bool {
+        let mut new = false;
+        let rec = self.peers.entry(omni).or_insert_with(|| {
+            new = true;
+            PeerRecord::default()
+        });
+        rec.seen[tech_idx(tech)] = Some((source, now));
         match (tech, source) {
             (TechType::BleBeacon, LowAddr::Ble(a)) => rec.ble = Some((a, now)),
             (TechType::Nfc, LowAddr::Nfc(a)) => rec.nfc = Some((a, now)),
@@ -81,6 +111,7 @@ impl PeerMap {
             (TechType::WifiMulticast, LowAddr::Mesh(m)) => rec.mesh_mcast = Some((m, now)),
             _ => {}
         }
+        new
     }
 
     /// Records the contents of an address beacon received over `via`.

@@ -163,14 +163,30 @@ impl ContextCipher {
     /// key, tampering, or truncation). Decryption and verification are one
     /// pass; the plaintext is returned only once the tag has verified.
     pub fn open(key: &GroupKey, sealed: &[u8]) -> Option<Bytes> {
+        let mut plain = Vec::new();
+        Self::open_into(key, sealed, &mut plain)?;
+        Some(Bytes::from(plain))
+    }
+
+    /// [`Self::open`] into storage the caller owns: decrypts into `out`
+    /// (reusing its capacity, so a receive loop that keeps one buffer does
+    /// not allocate) and yields the plaintext only once the tag has
+    /// verified. On failure `out` is left empty, so unverified plaintext
+    /// never escapes.
+    pub fn open_into<'a>(key: &GroupKey, sealed: &[u8], out: &'a mut Vec<u8>) -> Option<&'a [u8]> {
+        out.clear();
         if sealed.len() < SEAL_OVERHEAD {
             return None;
         }
         let nonce = u64::from_be_bytes(sealed[..8].try_into().ok()?);
         let tag = u32::from_be_bytes(sealed[8..12].try_into().ok()?);
         let body = &sealed[SEAL_OVERHEAD..];
-        let mut plain = vec![0u8; body.len()];
-        (ctr_mac(key, nonce, body, &mut plain, false) == tag).then(|| Bytes::from(plain))
+        out.resize(body.len(), 0);
+        if ctr_mac(key, nonce, body, out, false) != tag {
+            out.clear();
+            return None;
+        }
+        Some(out)
     }
 }
 
@@ -223,6 +239,31 @@ mod tests {
             assert_eq!(hex, want, "sealed bytes at length {len}");
             assert_eq!(ContextCipher::open(&key(), &sealed).as_deref(), Some(&plain[..]));
         }
+    }
+
+    /// `open_into` reuses the caller's buffer across payloads and never
+    /// leaves unverified plaintext in it.
+    #[test]
+    fn open_into_reuses_the_buffer_and_empties_it_on_failure() {
+        let mut c = ContextCipher::new(key(), 42);
+        let mut buf = Vec::new();
+        let sealed = c.seal(b"secret-context");
+        let opened = ContextCipher::open_into(&key(), &sealed, &mut buf);
+        assert_eq!(opened, Some(&b"secret-context"[..]));
+        let capacity = buf.capacity();
+        let opened = ContextCipher::open_into(&key(), &c.seal(b"ctx"), &mut buf);
+        assert_eq!(opened, Some(&b"ctx"[..]));
+        assert_eq!(buf.capacity(), capacity, "a shorter payload reuses the buffer");
+
+        let mut forged = sealed.to_vec();
+        forged[8] ^= 0x01;
+        assert_eq!(ContextCipher::open_into(&key(), &forged, &mut buf), None);
+        assert!(buf.is_empty(), "unverified plaintext left behind: {buf:?}");
+        let other = GroupKey::from_passphrase("wrong");
+        assert_eq!(ContextCipher::open_into(&other, &sealed, &mut buf), None);
+        assert!(buf.is_empty());
+        assert_eq!(ContextCipher::open_into(&key(), &sealed[..SEAL_OVERHEAD - 1], &mut buf), None);
+        assert!(buf.is_empty());
     }
 
     #[test]

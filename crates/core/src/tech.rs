@@ -4,10 +4,9 @@
 //! methods": `enable` (receiving the three queues and returning the
 //! technology type plus its low-level address) and `disable`. Our trait adds
 //! two driver hooks required by the event-driven substrate: `poll` (drain the
-//! send queue and make protocol progress) and `on_node_event` (react to radio
-//! events). Neither widens the contract conceptually — in the paper's
-//! threaded prototype both correspond to the technology's private thread
-//! loop.
+//! send queue) and `on_node_event` (react to radio events). Neither widens
+//! the contract conceptually — in the paper's threaded prototype both
+//! correspond to the technology's private thread loop.
 
 use omni_obs::Obs;
 use omni_sim::{NodeApi, NodeEvent};
@@ -38,8 +37,10 @@ pub trait D2dTechnology {
     fn tech_type(&self) -> TechType;
 
     /// Drains the send queue and advances internal protocol state. The
-    /// manager calls this after enqueueing requests and after delivering
-    /// events.
+    /// manager calls this once after `enable` and then only after it has
+    /// enqueued on this technology's send queue (within the same pump),
+    /// not after every event: progress driven by radio events belongs in
+    /// `on_node_event`.
     fn poll(&mut self, api: &mut NodeApi<'_>);
 
     /// Offers a substrate event. Returns `true` when the event was consumed

@@ -36,15 +36,21 @@ impl OmniAddress {
     ///
     /// Sorting makes the derivation independent of interface enumeration
     /// order, so the same hardware always yields the same `omni_address`.
+    /// The list is visited in sorted order without being copied: each pass
+    /// over it hashes every copy of the smallest MAC not yet hashed. That
+    /// costs one pass per distinct MAC (a device has at most one per
+    /// technology) and allocates nothing.
     pub fn from_interface_macs(macs: &[[u8; 6]]) -> Self {
-        let mut sorted: Vec<[u8; 6]> = macs.to_vec();
-        sorted.sort_unstable();
         let mut h = FNV_OFFSET;
-        for mac in &sorted {
-            for &b in mac {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
+        let mut last: Option<&[u8; 6]> = None;
+        while let Some(next) = macs.iter().filter(|m| last.is_none_or(|l| *m > l)).min() {
+            for mac in macs.iter().filter(|m| *m == next) {
+                for &b in mac {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(FNV_PRIME);
+                }
             }
+            last = Some(next);
         }
         OmniAddress(h)
     }

@@ -148,4 +148,23 @@ proptest! {
             OmniAddress::from_interface_macs(&shuffled)
         );
     }
+
+    /// The allocation-free derivation hashes exactly what the original one
+    /// did (FNV-1a over a sorted `Vec` copy), duplicates and the empty list
+    /// included: MACs are drawn from a small pool so repeats are common.
+    #[test]
+    fn address_matches_the_sorted_vec_derivation(
+        pool in proptest::collection::vec(any::<[u8; 6]>(), 1..4),
+        picks in proptest::collection::vec(any::<proptest::sample::Index>(), 0..9),
+    ) {
+        let macs: Vec<[u8; 6]> = picks.iter().map(|i| pool[i.index(pool.len())]).collect();
+        let mut sorted = macs.clone();
+        sorted.sort_unstable();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in sorted.iter().flatten() {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        prop_assert_eq!(OmniAddress::from_interface_macs(&macs), OmniAddress::from_u64(h));
+    }
 }
